@@ -21,7 +21,14 @@ from .core import (
     cap,
     link_capacities,
 )
-from .lp import LinearProgram, SolverError, solve_lp
+from .lp import (
+    STACK_CHUNK,
+    LinearProgram,
+    LpSolution,
+    SolverError,
+    solve_lp,
+    solve_lp_stack,
+)
 
 # per-protocol information flows: (source, destination, state) -> rate
 FlowVars = dict[tuple[str, str, int], float]
@@ -54,7 +61,12 @@ class BoundaryPoint:
 
 
 def _solve_ray(matrix: np.ndarray, relations, rhs, k: float) -> np.ndarray:
-    """Tie the two rate variables to the ray and maximize the free one.
+    """Tie the two rate variables to the ray and maximize the free one."""
+    return _ray_optimum(solve_lp(_ray_lp(matrix, relations, rhs, k)))
+
+
+def _ray_lp(matrix: np.ndarray, relations, rhs, k: float) -> LinearProgram:
+    """The ray-tied program of a protocol system.
 
     Columns 0 and 1 of ``matrix`` are Ra and Rb.  For finite k the tie is
     Ra = k*Rb and Rb is maximized; k = inf pins Rb = 0 and maximizes Ra.
@@ -70,13 +82,18 @@ def _solve_ray(matrix: np.ndarray, relations, rhs, k: float) -> np.ndarray:
             raise ValidationError(f"ray ratio k must be finite and >= 0, got {k!r}")
         ray[0], ray[1] = 1.0, -k
         obj[1] = 1.0
-    lp = LinearProgram(
+    return LinearProgram(
         objective=obj,
         matrix=np.vstack([matrix, ray]),
         relations=tuple(relations) + ("=",),
         rhs=np.append(np.asarray(rhs, dtype=float), 0.0),
     )
-    sol = solve_lp(lp)
+
+
+def _ray_optimum(sol: LpSolution | SolverError) -> np.ndarray:
+    """The optimal point of a ray program's solution, or the failure it records."""
+    if isinstance(sol, SolverError):
+        raise sol
     if not sol.is_optimal:
         raise SolverError(f"protocol LP unexpectedly {sol.status}")
     return sol.x
@@ -202,11 +219,7 @@ def _df_matrix(gains: ChannelGains, alpha1: float, alpha2: float):
     caps, the two relay conservation equalities, and the time budget.
     """
     caps = link_capacities(gains)
-    g1, g2, g3 = gains.gamma1, gains.gamma2, gains.gamma3
-    bc1_relay = cap(alpha1 * g1)
-    bc1_direct = cap((1.0 - alpha1) * g3 / (1.0 + alpha1 * g3))
-    bc2_relay = cap(alpha2 * g2)
-    bc2_direct = cap((1.0 - alpha2) * g3 / (1.0 + alpha2 * g3))
+    bc1_relay, bc1_direct, bc2_relay, bc2_direct = _df_split_caps(gains, alpha1, alpha2)
 
     col = {name: 8 + i for i, name in enumerate(_DF_FLOWS)}
     n = 8 + len(_DF_FLOWS)
@@ -251,13 +264,30 @@ def _df_matrix(gains: ChannelGains, alpha1: float, alpha2: float):
     return np.array(rows), tuple(rel), rhs
 
 
+# (row, column) of the entries of the _df_matrix system that the power split
+# sets, in _df_split_caps order; each holds minus that capacity
+_DF_SPLIT_ENTRIES = ((2, 2), (3, 2), (4, 3), (5, 3))
+
+
+def _df_split_caps(gains: ChannelGains, alpha1: float, alpha2: float):
+    """Relay-bound and direct-link capacities of broadcast states 1 and 2."""
+    g1, g2, g3 = gains.gamma1, gains.gamma2, gains.gamma3
+    return (cap(alpha1 * g1),
+            cap((1.0 - alpha1) * g3 / (1.0 + alpha1 * g3)),
+            cap(alpha2 * g2),
+            cap((1.0 - alpha2) * g3 / (1.0 + alpha2 * g3)))
+
+
 def _df_point(k: float, gains: ChannelGains, alpha1: float, alpha2: float) -> BoundaryPoint:
     A, rel, rhs = _df_matrix(gains, alpha1, alpha2)
     x = _solve_ray(A, rel, rhs, k)
+    return _df_boundary_point(x, TimeShares.from_sequence(x[2:8]), alpha1, alpha2)
+
+
+def _df_boundary_point(x: np.ndarray, shares: TimeShares,
+                       alpha1: float, alpha2: float) -> BoundaryPoint:
     flows = {name: float(x[8 + i]) for i, name in enumerate(_DF_FLOWS)}
-    return BoundaryPoint(float(x[0]), float(x[1]),
-                         TimeShares.from_sequence(x[2:8]),
-                         flows=flows,
+    return BoundaryPoint(float(x[0]), float(x[1]), shares, flows=flows,
                          power_split=PowerSplit(alpha1, alpha2))
 
 
@@ -269,7 +299,9 @@ def six_state_df_boundary(k: float, gains: ChannelGains, alpha_grid: int = 33,
     between the relay-bound and direct-link messages.  The power splits are
     optimized over an ``alpha_grid`` x ``alpha_grid`` grid with one local
     refinement pass (a 9x9 sub-grid one base spacing wide around the best
-    point).  Returns the best grid point.
+    point).  Returns the best grid point: the first, in grid order, whose
+    rate is strictly the largest.  Each grid stage is solved as one stack of
+    programs, one per split (``solve_lp_stack``).
     """
     if alpha_grid < 2:
         raise ValidationError(f"alpha_grid must be >= 2, got {alpha_grid}")
@@ -278,25 +310,40 @@ def six_state_df_boundary(k: float, gains: ChannelGains, alpha_grid: int = 33,
         return _df_point(k, gains, 1.0, 1.0)
 
     axis = np.linspace(0.0, 1.0, alpha_grid)
-    best: BoundaryPoint | None = None
-    best_obj = -1.0
-    for a1 in axis:
-        for a2 in axis:
-            p = _df_point(k, gains, float(a1), float(a2))
-            obj = p.ra if (isinstance(k, float) and math.isinf(k)) else p.rb
-            if obj > best_obj:
-                best, best_obj = p, obj
-    assert best is not None
+    A, rel, rhs = _df_matrix(gains, 0.0, 0.0)  # the split entries are set per point
+    template = _ray_lp(A, rel, rhs, k)
+    use_ra = isinstance(k, float) and math.isinf(k)
+    best = _df_best(template, gains, axis, axis, use_ra, None)
 
     if refine:
         radius = 1.0 / (alpha_grid - 1)
-        b1, b2 = best.power_split.alpha1, best.power_split.alpha2
+        b1, b2 = best[2], best[3]
         sub1 = np.linspace(max(0.0, b1 - radius), min(1.0, b1 + radius), 9)
         sub2 = np.linspace(max(0.0, b2 - radius), min(1.0, b2 + radius), 9)
-        for a1 in sub1:
-            for a2 in sub2:
-                p = _df_point(k, gains, float(a1), float(a2))
-                obj = p.ra if (isinstance(k, float) and math.isinf(k)) else p.rb
-                if obj > best_obj:
-                    best, best_obj = p, obj
+        best = _df_best(template, gains, sub1, sub2, use_ra, best)
+    return _df_boundary_point(*best)
+
+
+def _df_best(template: LinearProgram, gains: ChannelGains, axis1, axis2,
+             use_ra: bool, best):
+    """Walk the splits ``axis1`` x ``axis2`` in grid order from ``best``.
+
+    ``best`` is None or (x, shares, alpha1, alpha2) of the leader so far; a
+    point takes the lead only with a strictly larger rate.  The first failing
+    point raises what a point-by-point solve of the grid would raise.
+    """
+    splits = [(float(a1), float(a2)) for a1 in axis1 for a2 in axis2]
+    best_obj = -1.0 if best is None else float(best[0][0 if use_ra else 1])
+    rows, cols = zip(*_DF_SPLIT_ENTRIES)
+    for start in range(0, len(splits), STACK_CHUNK):
+        chunk = splits[start:start + STACK_CHUNK]
+        mats = np.repeat(template.matrix[None], len(chunk), axis=0)
+        mats[:, rows, cols] = [[-v for v in _df_split_caps(gains, a1, a2)]
+                               for a1, a2 in chunk]
+        for (a1, a2), sol in zip(chunk, solve_lp_stack(template, mats)):
+            x = _ray_optimum(sol)
+            shares = TimeShares.from_sequence(x[2:8])
+            obj = float(x[0 if use_ra else 1])
+            if obj > best_obj:
+                best, best_obj = (x, shares, a1, a2), obj
     return best

@@ -48,6 +48,11 @@ SCHEMA_VERSION = 1
 PROTOCOL_IDS = ("outer", "outer-analytic", "mabc", "tdbc", "hbc",
                 "six-state-df", "six-state", "comabc")
 
+# largest accepted sweep sizes: a 0.025-degree ray grid and a 257x257 DF
+# power-split grid (66,049 LPs per ray)
+MAX_THETA_POINTS = 3601
+MAX_ALPHA_GRID = 257
+
 # gamma1, gamma2, gamma3 in dB
 PRESETS = {
     "case-a": (10.0, 15.0, 3.0),
@@ -69,14 +74,21 @@ class Scenario:
     outputs: str = "."
 
     def __post_init__(self) -> None:
+        # the name becomes an output file-name prefix, so it must stay inside --out
+        if self.name in ("", ".", "..") or any(ch in self.name for ch in "/\\\0"):
+            raise ValidationError(
+                f"scenario name must be a plain file name without path separators, "
+                f"got {self.name!r}")
         for nm in ("gamma1_db", "gamma2_db", "gamma3_db"):
             v = getattr(self, nm)
             if not (isinstance(v, (int, float)) and math.isfinite(v)):
                 raise ValidationError(f"{nm} must be finite, got {v!r}")
-        if self.theta_points < 3:
-            raise ValidationError(f"theta_points must be >= 3, got {self.theta_points}")
-        if self.alpha_grid < 2:
-            raise ValidationError(f"alpha_grid must be >= 2, got {self.alpha_grid}")
+        if not 3 <= self.theta_points <= MAX_THETA_POINTS:
+            raise ValidationError(
+                f"theta_points must be >= 3 and <= {MAX_THETA_POINTS}, got {self.theta_points}")
+        if not 2 <= self.alpha_grid <= MAX_ALPHA_GRID:
+            raise ValidationError(
+                f"alpha_grid must be >= 2 and <= {MAX_ALPHA_GRID}, got {self.alpha_grid}")
         for p in self.protocols:
             if p not in PROTOCOL_IDS:
                 raise ValidationError(

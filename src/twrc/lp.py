@@ -6,6 +6,13 @@ dual multipliers matter more here than speed, so the solver is a plain
 tableau simplex: Bland's lowest-index entering rule, a stability-biased
 ratio test (largest pivot among minimal ratios, ties on the lowest basic
 index), and a hard pivot budget against cycling.
+
+``solve_lp`` solves one program.  ``solve_lp_stack`` solves a stack of
+programs that differ only in their constraint matrices (such as one program
+per point of a parameter grid) as one (B, m, w) tableau, in chunks of
+``STACK_CHUNK``.  All programs pivot in lockstep under the same rules, with
+finished programs set aside, so each result equals ``solve_lp`` on that
+program alone, bit for bit; the stack only saves interpreter overhead.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ PIVOT_TOL = 1e-12
 _RATIO_ELIG_TOL = 1e-9  # pivots smaller than this amplify round-off too much
 _COST_TOL = 1e-10
 _MAX_PIVOTS = 20_000
+STACK_CHUNK = 256  # programs per lockstep tableau in solve_lp_stack
 
 _RELATIONS = ("<=", "=", ">=")
 _INF = math.inf
@@ -122,19 +130,166 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     Returns a vertex optimum with its basis and per-row dual multipliers.
     The pivot rule is fixed, so identical inputs give bit-identical output.
     """
-    n_in = lp.n_vars
-    m_in = lp.n_rows
-    sense_sign = 1.0 if lp.sense == "max" else -1.0
+    c, A, b, rel, recover = _to_nonneg_form(lp, lp.matrix)
+    table, basis, artificial, ident_col, row_sign = _start_tableau(A, b, rel)
+    ncols = artificial.size
 
-    c, A, b, rel, recover = _to_nonneg_form(lp, sense_sign)
-    m, n_struct = A.shape
+    # Phase 1: drive the artificial variables to zero.
+    if artificial.any():
+        cost1 = np.where(artificial, -1.0, 0.0)
+        status = _simplex(table, basis, cost1, np.ones(ncols, dtype=bool))
+        if status != "optimal":
+            raise SolverError("phase-1 subproblem reported unbounded")
+        infeas = -float(cost1[basis] @ table[:, -1])
+        if infeas > _infeasibility_limit(b):
+            return _no_optimum(lp, "infeasible")
+        table, basis = _purge_artificials(table, basis, artificial)
 
-    # Slack columns per row; flip rows to make the rhs non-negative first.
+    # Phase 2: original objective, artificial columns barred from entering.
+    cost2 = _phase2_cost(c, ncols)
+    status = _simplex(table, basis, cost2, ~artificial)
+    if status == "unbounded":
+        return _no_optimum(lp, status)
+
+    u = np.zeros(ncols)
+    u[basis] = table[:, -1]
+    x = recover(u[:c.size])
+    value = float(lp.objective @ x)
+
+    # Duals: each row's identity column (its slack or artificial) currently
+    # holds that row's component of the basis inverse, so y_i = c_B @ column.
+    # This stays valid for rows whose tableau row was dropped as redundant.
+    cb = cost2[basis]
+    duals = np.zeros(lp.n_rows)
+    for r in range(lp.n_rows):
+        duals[r] = row_sign[r] * float(cb @ table[:, ident_col[r]])
+    if lp.sense == "min":
+        duals = -duals
+
+    return LpSolution("optimal", value, x, tuple(int(j) for j in sorted(basis)), duals)
+
+
+def solve_lp_stack(template: LinearProgram, matrices) -> list[LpSolution | SolverError]:
+    """Solve programs that differ from ``template`` only in their constraint matrix.
+
+    ``matrices`` is a (B, m, n) stack; each program shares the template's
+    objective, relations, rhs, bounds and sense.  Variables must be free or
+    have lower bound 0, so that all programs share one standardized rhs.
+    The stack runs through ``solve_lp``'s two-phase simplex in lockstep, in
+    chunks of at most ``STACK_CHUNK`` programs: every program takes the pivots
+    it would take alone, so entry ``b`` of the result equals
+    ``solve_lp`` on program ``b`` bit for bit.  A numerical breakdown fails
+    only its own program, whose entry is then the ``SolverError`` that
+    ``solve_lp`` would raise for it.
+    """
+    mats = np.asarray(matrices, dtype=float)
+    if mats.ndim != 3 or mats.shape[1:] != template.matrix.shape:
+        raise ValidationError(
+            f"matrix stack shape {mats.shape} does not match the template's "
+            f"{template.matrix.shape}")
+    if not np.isfinite(mats).all():
+        raise ValidationError("matrix stack must be finite")
+    for j, (lo, hi) in enumerate(template.bounds):
+        if lo != 0.0 and (lo, hi) != (-_INF, _INF):
+            raise ValidationError(
+                f"stacked programs need free variables or lower bound 0; "
+                f"variable {j} has bounds ({lo}, {hi})")
+    out = []
+    for start in range(0, len(mats), STACK_CHUNK):
+        out += _solve_chunk(template, mats[start:start + STACK_CHUNK])
+    return out
+
+
+def _solve_chunk(lp: LinearProgram, mats: np.ndarray) -> list[LpSolution | SolverError]:
+    """``solve_lp_stack`` on one chunk, phase by phase as in ``solve_lp``."""
+    c, A, b, rel, recover = _to_nonneg_form(lp, mats)
+    table, start_basis, artificial, ident_col, row_sign = _start_tableau(A, b, rel)
+    del A  # copied into the tableau
+    basis = np.tile(start_basis, (len(mats), 1))
+    ncols = artificial.size
+    out: list = [None] * len(mats)
+    members = np.arange(len(mats))
+    drop = np.zeros(basis.shape, dtype=bool)
+
+    if artificial.any():
+        cost1 = np.where(artificial, -1.0, 0.0)
+        members, status = _simplex_stack(table, basis, cost1, np.ones(ncols, dtype=bool))
+        infeas = -(cost1[basis][:, None, :] @ table[:, :, -1:])[:, 0, 0]
+        limit = _infeasibility_limit(b)
+        for r, st, inf in zip(members, status, infeas):
+            if isinstance(st, SolverError):
+                out[r] = st
+            elif st != "optimal":
+                out[r] = SolverError("phase-1 subproblem reported unbounded")
+            elif inf > limit:
+                out[r] = _no_optimum(lp, "infeasible")
+        feasible = np.array([out[r] is None for r in members])
+        if not feasible.all():
+            table, basis, members = table[feasible], basis[feasible], members[feasible]
+        drop = _purge_stack(table, basis, artificial)
+
+    # Programs that dropped different redundant rows no longer share a shape;
+    # each drop pattern continues as its own stack, with its rows deleted as
+    # in ``solve_lp`` (a kept zero row would change BLAS's summation order).
+    cost2 = _phase2_cost(c, ncols)
+    for pattern in np.unique(drop, axis=0):
+        sel = np.nonzero((drop == pattern).all(axis=1))[0]
+        keep = ~pattern
+        if len(sel) == len(table) and keep.all():
+            T, bas = table, basis
+        else:
+            T, bas = table[np.ix_(sel, keep)], basis[np.ix_(sel, keep)]
+        order, status = _simplex_stack(T, bas, cost2, ~artificial)
+        progs = members[sel[order]]
+        U = np.zeros((len(sel), ncols))
+        np.put_along_axis(U, bas, T[:, :, -1], axis=1)
+        X = recover(U[:, :c.size])
+        cb = cost2[bas][:, None, :]
+        duals = np.empty((len(sel), lp.n_rows))
+        for r in range(lp.n_rows):
+            duals[:, r] = row_sign[r] * (cb @ T[:, :, ident_col[r], None])[:, 0, 0]
+        if lp.sense == "min":
+            duals = -duals
+        for s, (r, st) in enumerate(zip(progs, status)):
+            if st == "optimal":
+                out[r] = LpSolution("optimal", float(lp.objective @ X[s]), X[s],
+                                    tuple(sorted(bas[s].tolist())), duals[s])
+            else:
+                out[r] = st if isinstance(st, SolverError) else _no_optimum(lp, st)
+    return out
+
+
+def _infeasibility_limit(b: np.ndarray) -> float:
+    return FEASIBILITY_TOL * max(1.0, float(np.abs(b).max(initial=0.0)))
+
+
+def _phase2_cost(c: np.ndarray, ncols: int) -> np.ndarray:
+    cost = np.zeros(ncols)
+    cost[:c.size] = c
+    return cost
+
+
+def _no_optimum(lp: LinearProgram, status: str) -> LpSolution:
+    if status == "infeasible":
+        value = math.nan
+    else:
+        value = math.inf if lp.sense == "max" else -math.inf
+    return LpSolution(status, value, np.full(lp.n_vars, math.nan), (), np.zeros(lp.n_rows))
+
+
+def _start_tableau(A: np.ndarray, b: np.ndarray, rel: list):
+    """Phase-1 start: rows flipped to a non-negative rhs, then one slack per
+    inequality and one artificial per row that has no +1 slack.
+
+    ``A`` may carry a leading stack axis; ``b`` and ``rel`` are shared, so the
+    layout is too.  Modifies ``A``, ``b`` and ``rel``.  Returns (table, basis,
+    artificial column mask, each row's identity column, row signs).
+    """
+    m, n_struct = A.shape[-2:]
     row_sign = np.ones(m)
-    rel = list(rel)
     for i in range(m):
         if b[i] < 0.0:
-            A[i] *= -1.0
+            A[..., i, :] *= -1.0
             b[i] = -b[i]
             row_sign[i] = -1.0
             if rel[i] != "=":
@@ -149,104 +304,65 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     n_slack = len(slack_cols)
 
     ident_col = np.full(m, -1, dtype=int)  # column whose tableau entries are B^-1 e_i
-    art_rows = []
     for pos, (i, sgn) in enumerate(slack_cols):
         if sgn > 0:
             ident_col[i] = n_struct + pos
-    for i in range(m):
-        if ident_col[i] < 0:
-            art_rows.append(i)
-    n_art = len(art_rows)
+    art_rows = [i for i in range(m) if ident_col[i] < 0]
 
-    ncols = n_struct + n_slack + n_art
-    table = np.zeros((m, ncols + 1))
-    table[:, :n_struct] = A
+    ncols = n_struct + n_slack + len(art_rows)
+    table = np.zeros(A.shape[:-1] + (ncols + 1,))
+    table[..., :n_struct] = A
     for pos, (i, sgn) in enumerate(slack_cols):
-        table[i, n_struct + pos] = sgn
+        table[..., i, n_struct + pos] = sgn
     for pos, i in enumerate(art_rows):
-        table[i, n_struct + n_slack + pos] = 1.0
+        table[..., i, n_struct + n_slack + pos] = 1.0
         ident_col[i] = n_struct + n_slack + pos
-    table[:, -1] = b
+    table[..., -1] = b
 
     artificial = np.zeros(ncols, dtype=bool)
     artificial[n_struct + n_slack:] = True
-
-    basis = np.array([ident_col[i] for i in range(m)], dtype=int)
-
-    # Phase 1: drive the artificial variables to zero.
-    if n_art:
-        cost1 = np.zeros(ncols)
-        cost1[artificial] = -1.0
-        status = _simplex(table, basis, cost1, np.ones(ncols, dtype=bool))
-        if status != "optimal":
-            raise SolverError("phase-1 subproblem reported unbounded")
-        infeas = -float(cost1[basis] @ table[:, -1])
-        if infeas > FEASIBILITY_TOL * max(1.0, float(np.abs(b).max(initial=0.0))):
-            return LpSolution("infeasible", math.nan, np.full(n_in, math.nan),
-                              (), np.zeros(m_in))
-        table, basis = _purge_artificials(table, basis, artificial)
-
-    # Phase 2: original objective, artificial columns barred from entering.
-    cost2 = np.zeros(ncols)
-    cost2[:n_struct] = c
-    allowed = ~artificial
-    status = _simplex(table, basis, cost2, allowed)
-    if status == "unbounded":
-        return LpSolution("unbounded", math.inf if lp.sense == "max" else -math.inf,
-                          np.full(n_in, math.nan), (), np.zeros(m_in))
-
-    u = np.zeros(ncols)
-    u[basis] = table[:, -1]
-    x = recover(u[:n_struct])
-    value = float(lp.objective @ x)
-
-    # Duals: each row's identity column (its slack or artificial) currently
-    # holds that row's component of the basis inverse, so y_i = c_B @ column.
-    # This stays valid for rows whose tableau row was dropped as redundant.
-    cb = cost2[basis]
-    duals = np.zeros(m_in)
-    for r in range(m_in):
-        duals[r] = row_sign[r] * float(cb @ table[:, ident_col[r]])
-    if lp.sense == "min":
-        duals = -duals
-
-    return LpSolution("optimal", value, x, tuple(int(j) for j in sorted(basis)), duals)
+    return table, ident_col.copy(), artificial, ident_col, row_sign
 
 
-def _to_nonneg_form(lp: LinearProgram, sense_sign: float):
-    """Rewrite the program over non-negative variables.
+def _to_nonneg_form(lp: LinearProgram, A_in: np.ndarray):
+    """Rewrite the program, with constraint matrix ``A_in``, over non-negative
+    variables in maximization form.
 
     Shifts finite lower bounds, mirrors upper-bounded-only variables, splits
     free variables, and appends explicit rows for finite upper bounds.
     Returns (cost, matrix, rhs, relations, recover) where ``recover`` maps the
-    non-negative vector back to the original variables.
+    non-negative vector back to the original variables.  ``A_in`` and the
+    vectors ``recover`` takes may carry a leading stack axis.
     """
-    A_in = lp.matrix
+    sense_sign = 1.0 if lp.sense == "max" else -1.0
     b = lp.rhs.copy()
     cols = []
     costs = []
-    specs = []      # per original variable: how to undo the rewrite
+    # per original variable j, how to undo the rewrite:
+    shifted = []    # (j, column, lo): x_j = lo + u
+    mirrored = []   # (j, column, hi): x_j = hi - u
+    split = []      # (j, column of x+, column of x-): x_j = u+ - u-
     ub_rows = []    # (structural column, upper value) rows appended at the end
 
     for j in range(lp.n_vars):
         lo, hi = lp.bounds[j]
-        a = A_in[:, j]
+        a = A_in[..., j]
         cj = sense_sign * lp.objective[j]
         if lo == -_INF and hi == _INF:
-            specs.append(("split", len(cols), len(cols) + 1))
+            split.append((j, len(cols), len(cols) + 1))
             cols.append(a.copy())
             costs.append(cj)
             cols.append(-a)
             costs.append(-cj)
         elif lo == -_INF:
             # x = hi - u with u >= 0
-            specs.append(("mirror", len(cols), hi))
+            mirrored.append((j, len(cols), hi))
             b = b - a * hi
             cols.append(-a)
             costs.append(-cj)
         else:
             # x = lo + u with u >= 0 (and optionally u <= hi - lo)
-            specs.append(("shift", len(cols), lo))
+            shifted.append((j, len(cols), lo))
             if lo != 0.0:
                 b = b - a * lo
             if hi != _INF:
@@ -255,7 +371,7 @@ def _to_nonneg_form(lp: LinearProgram, sense_sign: float):
             costs.append(cj)
 
     n_struct = len(cols)
-    A = np.column_stack(cols) if cols else np.zeros((lp.n_rows, 0))
+    A = np.stack(cols, axis=-1) if cols else np.zeros(A_in.shape[:-1] + (0,))
     rel = list(lp.relations)
     if ub_rows:
         extra = np.zeros((len(ub_rows), n_struct))
@@ -263,19 +379,24 @@ def _to_nonneg_form(lp: LinearProgram, sense_sign: float):
         for i, (col, ub) in enumerate(ub_rows):
             extra[i, col] = 1.0
             extra_b[i] = ub
-        A = np.vstack([A, extra])
+        A = np.concatenate([A, np.broadcast_to(extra, A.shape[:-2] + extra.shape)], axis=-2)
         b = np.concatenate([b, extra_b])
         rel += ["<="] * len(ub_rows)
 
+    shifted, mirrored, split = (tuple(np.array(v) for v in zip(*specs))
+                                for specs in (shifted, mirrored, split))
+
     def recover(u: np.ndarray) -> np.ndarray:
-        x = np.zeros(lp.n_vars)
-        for j, spec in enumerate(specs):
-            if spec[0] == "split":
-                x[j] = u[spec[1]] - u[spec[2]]
-            elif spec[0] == "mirror":
-                x[j] = spec[2] - u[spec[1]]
-            else:
-                x[j] = spec[2] + u[spec[1]]
+        x = np.zeros(u.shape[:-1] + (lp.n_vars,))
+        if shifted:
+            j, col, lo = shifted
+            x[..., j] = lo + u[..., col]
+        if mirrored:
+            j, col, hi = mirrored
+            x[..., j] = hi - u[..., col]
+        if split:
+            j, pos, neg = split
+            x[..., j] = u[..., pos] - u[..., neg]
         return x
 
     return np.asarray(costs), A, b, rel, recover
@@ -344,6 +465,120 @@ def _purge_artificials(table, basis, artificial):
         table = np.delete(table, drop, axis=0)
         basis = np.delete(basis, drop)
     return table, basis
+
+
+def _simplex_stack(table: np.ndarray, basis: np.ndarray, cost: np.ndarray,
+                   allowed: np.ndarray):
+    """``_simplex`` on every program of a (B, m, w) stack, in lockstep.
+
+    Each program gets ``_simplex``'s entering rule, ratio test and rhs clip.
+    A program that finishes is swapped behind those still pivoting, so the
+    stack ends permuted: returns (order, outcome), where slot ``s`` of
+    ``table`` and ``basis`` holds the final state of program ``order[s]`` and
+    ``outcome[s]`` is "optimal", "unbounded", or the ``SolverError`` that
+    ``_simplex`` raises for it.
+    """
+    ncols = table.shape[2] - 1
+    order = np.arange(len(table))
+    outcome: list = [None] * len(table)  # by program
+    n = len(table)  # slots [0, n) still pivoting
+    scratch = np.empty_like(table)
+    for _ in range(_MAX_PIVOTS):
+        T, bas = table[:n], basis[:n]
+        at = np.arange(n)
+        reduced = cost[:ncols] - (cost[bas][:, None, :] @ T[:, :, :ncols])[:, 0, :]
+        reduced[:, ~allowed] = -1.0
+        reduced[at[:, None], bas] = -1.0
+        improving = reduced > _COST_TOL
+        j = improving.argmax(axis=1)  # Bland: lowest-index improving column
+        col = T[at, :, j]
+        elig = col > _RATIO_ELIG_TOL
+
+        going = improving.any(axis=1) & elig.any(axis=1)
+        if not going.all():
+            for r in np.nonzero(~going)[0]:
+                if not improving[r].any():
+                    outcome[order[r]] = "optimal"
+                elif (col[r] > PIVOT_TOL).any():
+                    outcome[order[r]] = SolverError("only near-singular pivots available")
+                else:
+                    outcome[order[r]] = "unbounded"
+            n, moved = _partition(table, basis, order, going)
+            if n == 0:
+                return order, [outcome[r] for r in order]
+            T, bas, at = table[:n], basis[:n], at[:n]
+            j, col, elig = j[moved], col[moved], elig[moved]
+
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.where(elig, T[:, :, -1] / col, _INF)
+        rmin = ratios.min(axis=1)
+        ties = elig & (ratios <= (rmin + 1e-7 * (1.0 + np.abs(rmin)))[:, None])
+        mag = np.where(ties, col, -_INF).max(axis=1)
+        big = ties & (col >= (mag * (1.0 - 1e-9))[:, None])
+        i = np.where(big, bas, ncols).argmin(axis=1)
+
+        # every eligible pivot exceeds _RATIO_ELIG_TOL > PIVOT_TOL
+        _pivot_stack(T, bas, i, j, scratch)
+        rhs = T[:, :, -1]
+        np.clip(rhs, 0.0, None, out=rhs)
+    for r in order[:n]:
+        outcome[r] = SolverError("simplex exceeded the pivot budget (numerical breakdown)")
+    return order, [outcome[r] for r in order]
+
+
+def _partition(table, basis, order, going):
+    """Swap the slots of ``table[:len(going)]`` not ``going`` behind those that are.
+
+    Swaps ``basis`` and ``order`` alike.  Returns the number of going slots and,
+    for each of them in its new place, the slot it came from.
+    """
+    n = int(going.sum())
+    moved = np.arange(len(going))
+    for p, q in zip(np.nonzero(~going[:n])[0], np.nonzero(going[n:])[0] + n):
+        for a in (table, basis, order):
+            a[[p, q]] = a[[q, p]]
+        moved[p], moved[q] = q, p
+    return n, moved[:n]
+
+
+def _pivot_stack(T: np.ndarray, bas: np.ndarray, i: np.ndarray, j: np.ndarray,
+                 scratch: np.ndarray) -> None:
+    """``_pivot`` on row ``i[r]``, column ``j[r]`` of every program ``r``.
+
+    ``scratch`` is at least as long as ``T``; reusing it across pivots saves
+    allocating (and page-faulting) a tableau-sized update each time.
+    """
+    at = np.arange(len(T))
+    row = T[at, i, :] / T[at, i, j][:, None]
+    colv = T[at, :, j]
+    T -= np.multiply(colv[:, :, None], row[:, None, :], out=scratch[:len(T)])
+    T[at, i, :] = row
+    bas[at, i] = j
+
+
+def _purge_stack(T: np.ndarray, bas: np.ndarray, artificial: np.ndarray) -> np.ndarray:
+    """``_purge_artificials`` on every program of a stack, in place.
+
+    Returns the (B, m) mask of the rows each program drops as redundant.
+    """
+    at = np.arange(len(T))
+    drop = np.zeros(bas.shape, dtype=bool)
+    for pos in range(bas.shape[1]):
+        art = artificial[bas[:, pos]]
+        if not art.any():
+            continue
+        eligible = np.tile(~artificial, (len(T), 1))
+        eligible[at[:, None], bas] = False  # a column can be basic in one row only
+        cand = (np.abs(T[:, pos, :-1]) > FEASIBILITY_TOL) & eligible
+        has = cand.any(axis=1)
+        drop[:, pos] = art & ~has
+        sel = np.nonzero(art & has)[0]
+        if sel.size:
+            sub, sub_bas = T[sel], bas[sel]
+            _pivot_stack(sub, sub_bas, np.full(sel.size, pos), cand[sel].argmax(axis=1),
+                         np.empty_like(sub))
+            T[sel], bas[sel] = sub, sub_bas
+    return drop
 
 
 def dual_of(lp: LinearProgram) -> LinearProgram:

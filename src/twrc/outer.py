@@ -401,8 +401,10 @@ def _solve_increasing(f: Callable[[float], float], target: float,
     else:
         raise SolverError("could not bracket the threshold root")
     lo = 0.0
-    while hi - lo > rel_tol * max(1.0, hi):
+    while hi - lo > rel_tol * hi:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # adjacent floats: the bracket cannot shrink further
         if f(mid) < target:
             lo = mid
         else:

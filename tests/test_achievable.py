@@ -4,16 +4,21 @@ import numpy as np
 import pytest
 
 from twrc import (
+    PRESETS,
     cap,
     comabc_boundary,
+    db_to_linear,
     hbc_boundary,
     link_capacities,
     mabc_boundary,
     outer_ratio_bound,
+    preset_scenario,
     six_state_boundary,
     six_state_df_boundary,
     validate_gains,
 )
+from twrc.achievable import _df_point
+from twrc.lp import STACK_CHUNK
 from conftest import random_gains
 
 # closed form C(1)C(2)/(2C(1) + C(2)) for unit gains at k = 1
@@ -143,7 +148,6 @@ class TestSixStateDf:
 
     def test_grid_includes_full_power_corner(self, case_a):
         best = six_state_df_boundary(1.0, case_a, alpha_grid=3, refine=False)
-        from twrc.achievable import _df_point
         corner = _df_point(1.0, case_a, 1.0, 1.0)
         assert best.rb >= corner.rb - 1e-12
 
@@ -151,6 +155,70 @@ class TestSixStateDf:
         coarse = six_state_df_boundary(1.0, case_a, alpha_grid=5, refine=False)
         refined = six_state_df_boundary(1.0, case_a, alpha_grid=5, refine=True)
         assert refined.rb >= coarse.rb - 1e-12
+
+
+def df_point_by_point(k, gains, alpha_grid=33, refine=True):
+    """The DF grid search one LP at a time, in grid order (the stacked
+    search must reproduce it exactly)."""
+    if gains.gamma3 == 0.0:
+        return _df_point(k, gains, 1.0, 1.0)
+    use_ra = isinstance(k, float) and math.isinf(k)
+    best, best_obj = None, -1.0
+
+    def walk(axis1, axis2):
+        nonlocal best, best_obj
+        for a1 in axis1:
+            for a2 in axis2:
+                p = _df_point(k, gains, float(a1), float(a2))
+                obj = p.ra if use_ra else p.rb
+                if obj > best_obj:
+                    best, best_obj = p, obj
+
+    axis = np.linspace(0.0, 1.0, alpha_grid)
+    walk(axis, axis)
+    if refine:
+        radius = 1.0 / (alpha_grid - 1)
+        b1, b2 = best.power_split.alpha1, best.power_split.alpha2
+        walk(np.linspace(max(0.0, b1 - radius), min(1.0, b1 + radius), 9),
+             np.linspace(max(0.0, b2 - radius), min(1.0, b2 + radius), 9))
+    return best
+
+
+def df_outcome(fn, *args, **kwargs):
+    """A DF result as exact bits, or the exception's type and message."""
+    try:
+        p = fn(*args, **kwargs)
+    except Exception as exc:  # the two searches must fail alike
+        return type(exc), str(exc)
+    return (p.ra.hex(), p.rb.hex(), tuple(v.hex() for v in p.shares.as_tuple()),
+            tuple((name, v.hex()) for name, v in p.flows.items()),
+            p.power_split.alpha1.hex(), p.power_split.alpha2.hex())
+
+
+class TestSixStateDfStacked:
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_presets_match_point_by_point(self, preset):
+        gains = preset_scenario(preset).gains()
+        for k in (0.0, 1.0, math.inf, 0.3):
+            assert (df_outcome(six_state_df_boundary, k, gains, alpha_grid=9)
+                    == df_outcome(df_point_by_point, k, gains, alpha_grid=9))
+
+    def test_random_channels_match_point_by_point(self):
+        rng = np.random.default_rng(2026)
+        ks = (0.0, 1.0, math.inf, 1e6)
+        for i in range(50):
+            g2 = db_to_linear(rng.uniform(-50.0, 70.0))
+            g1 = g2 * db_to_linear(-rng.uniform(0.0, 20.0))
+            k = ks[i % 4] if i % 5 else float(rng.uniform(0.0, 5.0))
+            for g3 in (0.0, 1e-12 * g1):
+                gains = validate_gains(g1, g2, g3)
+                assert (df_outcome(six_state_df_boundary, k, gains, alpha_grid=3)
+                        == df_outcome(df_point_by_point, k, gains, alpha_grid=3))
+
+    def test_grid_spanning_several_chunks(self, case_b):
+        assert 17 * 17 > STACK_CHUNK
+        assert (df_outcome(six_state_df_boundary, 0.7, case_b, alpha_grid=17, refine=False)
+                == df_outcome(df_point_by_point, 0.7, case_b, alpha_grid=17, refine=False))
 
 
 class TestSixState:

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,7 +20,7 @@ from twrc import (
     run_thresholds,
     validate_gains,
 )
-from twrc.cli import main
+from twrc.cli import MAX_ALPHA_GRID, MAX_THETA_POINTS, main
 
 ALL_PROTOCOLS = ("mabc", "tdbc", "hbc", "six-state-df", "six-state", "comabc")
 
@@ -228,3 +231,47 @@ class TestMainExitCodes:
                    "--out", str(tmp_path)])
         assert rc == 0
         assert (tmp_path / "thresholds.csv").exists()
+
+    @pytest.mark.parametrize("name", ["../escaped", "sub/x", "..", ".", "a\\b"])
+    def test_name_that_leaves_out_dir_is_2(self, tmp_path, capsys, name):
+        out = tmp_path / "out"
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(f"name = {name}\ngamma1_db = 10\ngamma2_db = 15\ngamma3_db = 3\n")
+        rc = main(["outer", "--scenario", str(cfg), "--theta-points", "5",
+                   "--out", str(out)])
+        assert rc == 2
+        assert "scenario name" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.cfg"]
+
+    def test_empty_name_is_2(self, tmp_path, capsys):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("name =\ngamma1_db = 10\ngamma2_db = 15\ngamma3_db = 3\n")
+        assert main(["outer", "--scenario", str(cfg), "--out", str(tmp_path)]) == 2
+
+    def test_theta_points_above_limit_is_2(self, tmp_path, capsys):
+        rc = main(["outer", "--preset", "case-a",
+                   "--theta-points", str(MAX_THETA_POINTS + 1), "--out", str(tmp_path)])
+        assert rc == 2
+        assert f"<= {MAX_THETA_POINTS}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_alpha_grid_above_limit_is_2(self, tmp_path, capsys):
+        rc = main(["sweep", "--preset", "case-a", "--protocol", "six-state-df",
+                   "--alpha-grid", str(MAX_ALPHA_GRID + 1), "--out", str(tmp_path)])
+        assert rc == 2
+        assert f"<= {MAX_ALPHA_GRID}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_limits_themselves_are_accepted(self):
+        sc = preset_scenario("case-a", theta_points=MAX_THETA_POINTS, alpha_grid=MAX_ALPHA_GRID)
+        assert (sc.theta_points, sc.alpha_grid) == (MAX_THETA_POINTS, MAX_ALPHA_GRID)
+
+
+def test_python_dash_m_twrc_help():
+    import twrc
+
+    env = dict(os.environ, PYTHONPATH=str(Path(twrc.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "twrc", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: twrc" in proc.stdout

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from twrc import LinearProgram, ValidationError, dual_of, solve_lp
+from twrc import LinearProgram, SolverError, ValidationError, dual_of, solve_lp, solve_lp_stack
 
 
 def random_feasible_bounded_lp(rng, max_vars=10):
@@ -179,3 +179,98 @@ def test_determinism_bit_identical():
     assert a.duals.tobytes() == b.duals.tobytes()
     assert a.value == b.value
     assert a.basis == b.basis
+
+
+def solve_or_error(lp):
+    try:
+        return solve_lp(lp)
+    except SolverError as exc:
+        return exc
+
+
+def assert_same_solution(got, want):
+    """Bit-for-bit equality of two solve results (or of the breakdowns)."""
+    if isinstance(want, SolverError):
+        assert type(got) is SolverError and str(got) == str(want)
+        return
+    assert got.status == want.status
+    assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
+    assert got.x.tobytes() == want.x.tobytes()
+    assert got.basis == want.basis
+    assert got.duals.tobytes() == want.duals.tobytes()
+
+
+def assert_stack_matches_scalar(template, mats):
+    sols = solve_lp_stack(template, mats)
+    assert len(sols) == len(mats)
+    wants = []
+    for sol, mat in zip(sols, mats):
+        want = solve_or_error(LinearProgram(template.objective, mat, template.relations,
+                                            template.rhs, template.bounds, template.sense))
+        assert_same_solution(sol, want)
+        wants.append(want)
+    return wants
+
+
+def test_stack_matches_scalar_on_random_lps():
+    rng = np.random.default_rng(8)
+    statuses = set()
+    for _ in range(40):
+        t = random_feasible_bounded_lp(rng)
+        m, n = t.matrix.shape
+        mats = np.repeat(t.matrix[None], 12, axis=0)
+        mats[1:] += rng.uniform(-1.0, 1.0, size=(11, m, n)) * (rng.random((11, m, n)) < 0.4)
+        mats[-2, :-1] = 0.0  # every row but the sum cap empty: infeasible if an = or >= row has b > 0
+        mats[-3, -1] = -1.0  # no sum cap: may be unbounded
+        for sense in ("max", "min"):
+            tt = LinearProgram(t.objective, t.matrix, t.relations, t.rhs, sense=sense)
+            wants = assert_stack_matches_scalar(tt, mats)
+            statuses |= {getattr(w, "status", "error") for w in wants}
+    assert {"optimal", "infeasible", "unbounded"} <= statuses
+
+
+def test_stack_matches_scalar_on_special_members():
+    # max x1 + x2 over rows (<= 4, = 2, = 4, >= 1), x1 >= 0 and x2 free
+    template = LinearProgram([1.0, 1.0], np.zeros((4, 2)), ("<=", "=", "=", ">="),
+                             [4.0, 2.0, 4.0, 1.0],
+                             bounds=((0.0, math.inf), (-math.inf, math.inf)))
+    mats = np.array([
+        [[1.0, 1.0], [1.0, -1.0], [2.0, 0.0], [1.0, 0.0]],    # optimal
+        [[1.0, 1.0], [0.0, 0.0], [2.0, 0.0], [1.0, 0.0]],     # 0 = 2: infeasible
+        [[-1.0, 0.0], [1.0, -1.0], [2.0, -2.0], [1.0, 0.0]],  # unbounded along x1 - x2 = 2
+        [[1.0, 0.0], [1.0, 1.0], [2.0, 2.0], [0.0, 1.0]],     # row 2 = 2 * row 1: redundant
+    ])
+    wants = assert_stack_matches_scalar(template, mats)
+    assert [w.status for w in wants] == ["optimal", "infeasible", "unbounded", "optimal"]
+    assert len(wants[3].basis) < len(wants[0].basis)  # the redundant row was dropped
+
+
+def test_stack_breakdown_fails_only_its_own_program():
+    template = LinearProgram([1.0], [[1.0]], ("<=",), [1.0])
+    mats = np.array([[[1.0]], [[1e-10]], [[2.0]]])  # 1e-10: only a near-singular pivot
+    wants = assert_stack_matches_scalar(template, mats)
+    assert isinstance(wants[1], SolverError)
+    assert [w.status for w in (wants[0], wants[2])] == ["optimal", "optimal"]
+
+
+def test_stack_chunks_and_mixed_drop_patterns(monkeypatch):
+    import twrc.lp as lp_module
+
+    monkeypatch.setattr(lp_module, "STACK_CHUNK", 3)
+    rng = np.random.default_rng(4)
+    template = LinearProgram(rng.uniform(-1, 1, 4), np.zeros((3, 4)), ("=", "=", "<="),
+                             [1.0, 2.0, 5.0])
+    mats = rng.uniform(0.0, 2.0, size=(10, 3, 4))
+    mats[::2, 1] = 2.0 * mats[::2, 0]  # every other program has a redundant row
+    assert_stack_matches_scalar(template, mats)
+
+
+def test_stack_rejects_bad_input():
+    t = LinearProgram([1.0, 1.0], [[1.0, 1.0]], ("<=",), [1.0])
+    with pytest.raises(ValidationError):
+        solve_lp_stack(t, np.ones((2, 2, 2)))
+    with pytest.raises(ValidationError):
+        solve_lp_stack(t, np.full((2, 1, 2), math.nan))
+    shifted = LinearProgram([1.0], [[1.0]], ("<=",), [1.0], bounds=((1.0, math.inf),))
+    with pytest.raises(ValidationError):
+        solve_lp_stack(shifted, np.ones((2, 1, 1)))

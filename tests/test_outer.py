@@ -269,6 +269,36 @@ class TestThresholds:
         assert th.gamma30 == pytest.approx(37.92249123798683, rel=1e-9)
         assert th.operative == th.gamma30
 
+    def test_small_roots_against_root_oracle(self):
+        # roots below 1 must still meet the relative tolerance
+        from scipy.optimize import brentq
+
+        roots = []
+        for g in (1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 0.6):
+            th = capacity_thresholds(validate_gains(g, g, 0.0))
+
+            def f(x, g=g):
+                return cap(x) + cap((math.sqrt(g) + math.sqrt(x)) ** 2) - 2.0 * cap(g)
+
+            oracle = brentq(f, 0.0, 1.0, xtol=1e-300, rtol=1e-14, maxiter=500)
+            assert th.gamma30 == pytest.approx(oracle, rel=1e-8)
+            roots.append(th.gamma30)
+        assert min(roots) < 2e-6 and max(roots) > 1e-1
+
+    def test_small_asymmetric_roots_against_root_oracle(self):
+        from scipy.optimize import brentq
+
+        for g1, g2 in ((1e-5, 1e-4), (1e-3, 1e-1), (1e-2, 0.5)):
+            th = capacity_thresholds(validate_gains(g1, g2, 0.0))
+            c1, c2 = cap(g1), cap(g2)
+            for got, own, other, root in ((th.gamma31, c2, c1, math.sqrt(g2)),
+                                          (th.gamma32, c1, c2, math.sqrt(g1))):
+                def f(x):
+                    return own * cap(x) + other * cap((root + math.sqrt(x)) ** 2) - 2 * c1 * c2
+
+                oracle = brentq(f, 0.0, 1.0, xtol=1e-300, rtol=1e-14, maxiter=500)
+                assert got == pytest.approx(oracle, rel=1e-8)
+
     def test_defining_equation_residual(self):
         for g2 in (10.0, 100.0, 1000.0):
             g = validate_gains(g2, g2, 0.0)
