@@ -60,9 +60,15 @@ class BoundaryPoint:
     power_split: PowerSplit | None = None
 
 
-def _solve_ray(matrix: np.ndarray, relations, rhs, k: float) -> np.ndarray:
-    """Tie the two rate variables to the ray and maximize the free one."""
-    return _ray_optimum(solve_lp(_ray_lp(matrix, relations, rhs, k)))
+def _protocol_point(matrix: np.ndarray, relations, rhs, k: float,
+                    states: tuple[int, ...]) -> BoundaryPoint:
+    """Solve a protocol system on the ray; its columns 2.. are the time shares
+    of ``states``, and every other state gets share 0."""
+    x = _ray_optimum(solve_lp(_ray_lp(matrix, relations, rhs, k)))
+    lam = [0.0] * 6
+    for state, share in zip(states, x[2:]):
+        lam[state - 1] = share
+    return BoundaryPoint(float(x[0]), float(x[1]), TimeShares.from_sequence(lam))
 
 
 def _ray_lp(matrix: np.ndarray, relations, rhs, k: float) -> LinearProgram:
@@ -112,9 +118,7 @@ def mabc_boundary(k: float, gains: ChannelGains) -> BoundaryPoint:
         [0.0, 0.0, 1.0, 1.0],
     ])
     rhs = [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]
-    x = _solve_ray(A, ("<=",) * 6, rhs, k)
-    shares = TimeShares.from_sequence([0.0, 0.0, x[2], x[3], 0.0, 0.0])
-    return BoundaryPoint(float(x[0]), float(x[1]), shares)
+    return _protocol_point(A, ("<=",) * 6, rhs, k, (3, 4))
 
 
 def hbc_boundary(k: float, gains: ChannelGains, tdbc_only: bool = False) -> BoundaryPoint:
@@ -136,9 +140,7 @@ def hbc_boundary(k: float, gains: ChannelGains, tdbc_only: bool = False) -> Boun
         A = np.vstack([A, [0.0, 0.0, 0.0, 0.0, 1.0, 0.0]])
         rel.append("=")
         rhs.append(0.0)
-    x = _solve_ray(A, rel, rhs, k)
-    shares = TimeShares.from_sequence([x[2], x[3], x[4], x[5], 0.0, 0.0])
-    return BoundaryPoint(float(x[0]), float(x[1]), shares)
+    return _protocol_point(A, rel, rhs, k, (1, 2, 3, 4))
 
 
 def six_state_boundary(k: float, gains: ChannelGains) -> BoundaryPoint:
@@ -161,9 +163,7 @@ def six_state_boundary(k: float, gains: ChannelGains) -> BoundaryPoint:
     ])
     rel = ("<=",) * 5 + ("=",)
     rhs = [0.0] * 5 + [1.0]
-    x = _solve_ray(A, rel, rhs, k)
-    shares = TimeShares.from_sequence(x[2:8])
-    return BoundaryPoint(float(x[0]), float(x[1]), shares)
+    return _protocol_point(A, rel, rhs, k, (1, 2, 3, 4, 5, 6))
 
 
 def comabc_boundary(k: float, gains: ChannelGains) -> BoundaryPoint:
@@ -184,9 +184,7 @@ def comabc_boundary(k: float, gains: ChannelGains) -> BoundaryPoint:
         [0.0, 0.0, 1.0, 1.0, 1.0],
     ])
     rhs = [0.0, 0.0, 0.0, 0.0, 1.0]
-    x = _solve_ray(A, ("<=",) * 5, rhs, k)
-    shares = TimeShares.from_sequence([0.0, 0.0, x[2], x[3], 0.0, x[4]])
-    return BoundaryPoint(float(x[0]), float(x[1]), shares)
+    return _protocol_point(A, ("<=",) * 5, rhs, k, (3, 4, 6))
 
 
 def _lattice_uplink_rate(g_own: float, g_other: float) -> float:
@@ -280,7 +278,7 @@ def _df_split_caps(gains: ChannelGains, alpha1: float, alpha2: float):
 
 def _df_point(k: float, gains: ChannelGains, alpha1: float, alpha2: float) -> BoundaryPoint:
     A, rel, rhs = _df_matrix(gains, alpha1, alpha2)
-    x = _solve_ray(A, rel, rhs, k)
+    x = _ray_optimum(solve_lp(_ray_lp(A, rel, rhs, k)))
     return _df_boundary_point(x, TimeShares.from_sequence(x[2:8]), alpha1, alpha2)
 
 

@@ -13,11 +13,15 @@ Scenario file format (flat key = value lines, '#' comments):
     alpha_grid = 33             # optional, default 33
     protocols = outer, mabc     # optional, default: outer bound only
     outputs = ./results         # optional, default '.'
+
+`compare --protocols`, `--theta-points` and `--alpha-grid` override the file;
+without `--protocols`, `compare` runs the file's list (every protocol for a preset).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -45,13 +49,46 @@ from .region import Region, max_radial_gap, sweep_region, symmetric_rate
 
 SCHEMA_VERSION = 1
 
-PROTOCOL_IDS = ("outer", "outer-analytic", "mabc", "tdbc", "hbc",
-                "six-state-df", "six-state", "comabc")
 
-# largest accepted sweep sizes: a 0.025-degree ray grid and a 257x257 DF
-# power-split grid (66,049 LPs per ray)
+def _analytic_point(k: float, gains: ChannelGains, alpha_grid: int):
+    """The closed-form outer bound on the ray Ra = k*Rb (no time shares)."""
+    if isinstance(k, float) and math.isinf(k):
+        return achievable.BoundaryPoint(one_way_bound_ab(gains), 0.0, ZERO_SHARES)
+    rb = one_way_bound(gains) if k == 0.0 else analytic_rb_bound(k, gains)
+    return achievable.BoundaryPoint(k * rb, rb, ZERO_SHARES)
+
+
+# protocol or bound id -> evaluator(k, gains, alpha_grid); the only list of
+# ids.  Each evaluator looks its functions up when called, so a rebound module
+# attribute takes effect.
+_EVALUATORS = {
+    "outer": lambda k, g, a: outer_ratio_bound(k, g),
+    "outer-analytic": _analytic_point,
+    "mabc": lambda k, g, a: achievable.mabc_boundary(k, g),
+    "tdbc": lambda k, g, a: achievable.hbc_boundary(k, g, tdbc_only=True),
+    "hbc": lambda k, g, a: achievable.hbc_boundary(k, g),
+    "six-state-df": lambda k, g, a: achievable.six_state_df_boundary(k, g, a),
+    "six-state": lambda k, g, a: achievable.six_state_boundary(k, g),
+    "comabc": lambda k, g, a: achievable.comabc_boundary(k, g),
+}
+PROTOCOL_IDS = tuple(_EVALUATORS)
+# what `compare --preset` runs by default: every protocol, no extra bound
+_COMPARE_DEFAULT = tuple(p for p in PROTOCOL_IDS if not p.startswith("outer"))
+
+
+def protocol_evaluator(name: str, gains: ChannelGains, alpha_grid: int = 33):
+    """Per-ray evaluator for a protocol or bound identifier."""
+    if name not in _EVALUATORS:
+        raise ValidationError(f"unknown protocol {name!r}")
+    evaluate = _EVALUATORS[name]
+    return lambda k: evaluate(k, gains, alpha_grid)
+
+
+# largest accepted sweep sizes: a 0.025-degree ray grid, a 257x257 DF
+# power-split grid (66,049 LPs per ray) and a 0.001-dB threshold grid over 100 dB
 MAX_THETA_POINTS = 3601
 MAX_ALPHA_GRID = 257
+MAX_GAMMA2_POINTS = 100_001
 
 # gamma1, gamma2, gamma3 in dB
 PRESETS = {
@@ -128,16 +165,12 @@ def load_scenario(path: str | Path) -> Scenario:
         key, value = key.strip(), value.strip()
         if key == "name" or key == "outputs":
             fields[key] = value
-        elif key in _FLOAT_KEYS:
+        elif key in _FLOAT_KEYS or key in _INT_KEYS:
+            kind, noun = (float, "a number") if key in _FLOAT_KEYS else (int, "an integer")
             try:
-                fields[key] = float(value)
+                fields[key] = kind(value)
             except ValueError:
-                raise ValidationError(f"{path}:{lineno}: {key} must be a number, got {value!r}")
-        elif key in _INT_KEYS:
-            try:
-                fields[key] = int(value)
-            except ValueError:
-                raise ValidationError(f"{path}:{lineno}: {key} must be an integer, got {value!r}")
+                raise ValidationError(f"{path}:{lineno}: {key} must be {noun}, got {value!r}")
         elif key == "protocols":
             fields[key] = tuple(p.strip() for p in value.split(",") if p.strip())
         else:
@@ -146,39 +179,6 @@ def load_scenario(path: str | Path) -> Scenario:
     if missing:
         raise ValidationError(f"{path}: missing required keys: {', '.join(missing)}")
     return Scenario(**fields)
-
-
-def _zero_point(k: float, rb: float) -> achievable.BoundaryPoint:
-    ra = rb if math.isinf(k) else k * rb
-    rb_out = 0.0 if math.isinf(k) else rb
-    return achievable.BoundaryPoint(ra, rb_out, ZERO_SHARES)
-
-
-def protocol_evaluator(name: str, gains: ChannelGains, alpha_grid: int = 33):
-    """Per-ray evaluator for a protocol or bound identifier."""
-    if name == "outer":
-        return lambda k: outer_ratio_bound(k, gains)
-    if name == "outer-analytic":
-        def analytic(k: float):
-            if isinstance(k, float) and math.isinf(k):
-                return _zero_point(k, one_way_bound_ab(gains))
-            if k == 0.0:
-                return _zero_point(k, one_way_bound(gains))
-            return _zero_point(k, analytic_rb_bound(k, gains))
-        return analytic
-    if name == "mabc":
-        return lambda k: achievable.mabc_boundary(k, gains)
-    if name == "tdbc":
-        return lambda k: achievable.hbc_boundary(k, gains, tdbc_only=True)
-    if name == "hbc":
-        return lambda k: achievable.hbc_boundary(k, gains)
-    if name == "six-state-df":
-        return lambda k: achievable.six_state_df_boundary(k, gains, alpha_grid)
-    if name == "six-state":
-        return lambda k: achievable.six_state_boundary(k, gains)
-    if name == "comabc":
-        return lambda k: achievable.comabc_boundary(k, gains)
-    raise ValidationError(f"unknown protocol {name!r}")
 
 
 def _fmt(x: float) -> str:
@@ -195,8 +195,7 @@ def _region_csv(reg: Region, mirrored: bool) -> str:
     rows = []
     for theta, p in zip(reg.thetas_deg, reg.points):
         ra, rb = p.ra, p.rb
-        shares = getattr(p, "shares", None)
-        lams = shares.as_tuple() if shares is not None else (0.0,) * 6
+        lams = p.shares.as_tuple()
         if mirrored:
             theta = 90.0 - theta
             ra, rb = rb, ra
@@ -224,7 +223,7 @@ def run_compare(scenario: Scenario, auto_swap: bool = True,
     out = Path(out_dir if out_dir is not None else scenario.outputs)
     out.mkdir(parents=True, exist_ok=True)
 
-    names = ["outer"] + [p for p in scenario.protocols if p != "outer"]
+    names = list(dict.fromkeys(["outer", *scenario.protocols]))
     regions: dict[str, Region] = {}
     for name in names:
         ev = protocol_evaluator(name, gains, scenario.alpha_grid)
@@ -255,18 +254,14 @@ def run_compare(scenario: Scenario, auto_swap: bool = True,
         reg = regions[name]
         gap, _ = max_radial_gap(outer_reg, reg)
         summary["protocols"][name] = {
-            "symmetric_rate": _round12(symmetric_rate(reg)),
-            "sum_rate_max": _round12(max(p.ra + p.rb for p in reg.points)),
-            "max_gap_vs_outer": _round12(gap),
+            "symmetric_rate": float(_fmt(symmetric_rate(reg))),
+            "sum_rate_max": float(_fmt(max(p.ra + p.rb for p in reg.points))),
+            "max_gap_vs_outer": float(_fmt(gap)),
         }
     spath = out / f"{scenario.name}_summary.json"
     spath.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n", newline="\n")
     written.append(spath)
     return written
-
-
-def _round12(x: float) -> float:
-    return float(format(float(x), ".12g"))
 
 
 def run_thresholds(gamma2_db_range: tuple[float, float, float],
@@ -285,36 +280,40 @@ def run_thresholds(gamma2_db_range: tuple[float, float, float],
         if not 0.0 < c <= 1.0:
             raise ValidationError(f"c must lie in (0, 1], got {c}")
 
+    # grid points lo + i*step up to hi, with hi itself kept despite round-off
+    steps = (hi - lo) / step + 1e-9
+    if not steps < MAX_GAMMA2_POINTS:
+        raise ValidationError(
+            f"gamma2 grid must have <= {MAX_GAMMA2_POINTS} points, got {lo}:{hi}:{step}")
+    grid = [lo + i * step for i in range(math.floor(steps) + 1)]
+
     lines = ["c,gamma2_db,threshold_db"]
     for c in c_values:
-        db = lo
-        while db <= hi + 1e-12:
+        for db in grid:
             g2 = db_to_linear(db)
             g1 = c * g2
             th = capacity_thresholds(ChannelGains(g1, g2, 0.0))
             lines.append(f"{_fmt(c)},{_fmt(db)},{_fmt(linear_to_db(th.operative))}")
-            db += step
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text("\n".join(lines) + "\n", newline="\n")
     return out_path
 
 
-def _scenario_from_args(args, default_protocols=()) -> Scenario:
-    overrides: dict = {}
-    if args.theta_points is not None:
-        overrides["theta_points"] = args.theta_points
-    if args.alpha_grid is not None:
-        overrides["alpha_grid"] = args.alpha_grid
+def _scenario_from_args(args, protocols=None) -> Scenario:
+    """The --scenario or --preset scenario with the command-line overrides;
+    ``protocols`` replaces its list (a preset's is every protocol)."""
     if args.scenario:
         sc = load_scenario(args.scenario)
-        for key, val in overrides.items():
-            sc = Scenario(**{**sc.__dict__, key: val})
-        return sc
-    if args.preset:
-        protocols = overrides.pop("protocols", default_protocols)
-        return preset_scenario(args.preset, protocols=tuple(protocols), **overrides)
-    raise ValidationError("provide either --scenario FILE or --preset NAME")
+    elif args.preset:
+        sc = preset_scenario(args.preset, protocols=_COMPARE_DEFAULT)
+    else:
+        raise ValidationError("provide either --scenario FILE or --preset NAME")
+    overrides = {key: getattr(args, key) for key in _INT_KEYS
+                 if getattr(args, key) is not None}
+    if protocols is not None:
+        overrides["protocols"] = protocols
+    return dataclasses.replace(sc, **overrides)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -335,7 +334,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="sweep the outer bound and protocols")
     _add_common(p_cmp)
     p_cmp.add_argument("--protocols",
-                       help="comma-separated protocol ids (default: all protocols)")
+                       help="comma-separated protocol ids (default: the scenario file's "
+                            "list, which is the outer bound only if it has none; every "
+                            "protocol with --preset)")
 
     p_out = sub.add_parser("outer", help="sweep the outer bound only")
     _add_common(p_out)
@@ -353,39 +354,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_ALL_PROTOCOLS = ("mabc", "tdbc", "hbc", "six-state-df", "six-state", "comabc")
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "compare":
-            if args.protocols is not None:
-                protocols = tuple(p.strip() for p in args.protocols.split(",") if p.strip())
-            else:
-                protocols = _ALL_PROTOCOLS
-            sc = _scenario_from_args(args, default_protocols=protocols)
-            if args.scenario and args.protocols is not None:
-                sc = Scenario(**{**sc.__dict__, "protocols": protocols})
-            paths = run_compare(sc, auto_swap=args.auto_swap, out_dir=args.out)
-        elif args.command == "outer":
-            sc = _scenario_from_args(args)
-            sc = Scenario(**{**sc.__dict__, "protocols": ()})
-            paths = run_compare(sc, auto_swap=args.auto_swap, out_dir=args.out)
-        elif args.command == "sweep":
-            sc = _scenario_from_args(args)
-            sc = Scenario(**{**sc.__dict__, "protocols": (args.protocol,)})
-            paths = run_compare(sc, auto_swap=args.auto_swap, out_dir=args.out)
-        elif args.command == "thresholds":
+        if args.command == "thresholds":
             try:
                 lo, hi, step = (float(v) for v in args.gamma2_db.split(":"))
             except ValueError:
                 raise ValidationError(f"--gamma2-db expects LO:HI:STEP, got {args.gamma2_db!r}")
-            c_values = [float(c) for c in args.c_values.split(",") if c.strip()]
+            try:
+                c_values = [float(c) for c in args.c_values.split(",") if c.strip()]
+            except ValueError:
+                raise ValidationError(
+                    f"--c-values expects comma-separated numbers, got {args.c_values!r}")
             out = Path(args.out) / "thresholds.csv"
             paths = [run_thresholds((lo, hi, step), c_values, out)]
-        else:  # pragma: no cover
-            raise ValidationError(f"unknown command {args.command!r}")
+        else:
+            if args.command == "outer":
+                protocols = ()
+            elif args.command == "sweep":
+                protocols = (args.protocol,)
+            elif args.protocols is not None:
+                protocols = tuple(p.strip() for p in args.protocols.split(",") if p.strip())
+            else:
+                protocols = None
+            sc = _scenario_from_args(args, protocols)
+            paths = run_compare(sc, auto_swap=args.auto_swap, out_dir=args.out)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

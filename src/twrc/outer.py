@@ -163,44 +163,18 @@ def _ra_axis_lp(gains: ChannelGains) -> LinearProgram:
     )
 
 
-def outer_ratio_bound(k: float, gains: ChannelGains,
-                      formulation: str = "ratio") -> OuterPoint:
+def outer_ratio_bound(k: float, gains: ChannelGains) -> OuterPoint:
     """Largest Rb compatible with the cut-set constraints on the ray Ra = k*Rb.
 
     ``k=math.inf`` selects the dedicated Ra-axis mode (Rb = 0, maximize Ra).
-    ``formulation`` picks the LP layout: "ratio" folds Ra = k*Rb into the cut
-    rows; "weighted" keeps (Ra, Rb) as separate variables and adds the ray as
-    an equality row.  Both describe the same region.
     """
-    if formulation not in ("ratio", "weighted"):
-        raise ValidationError(f"unknown formulation {formulation!r}")
-    if isinstance(k, float) and math.isinf(k) and k > 0:
-        sol = solve_lp(_ra_axis_lp(gains))
-        _require_optimal(sol)
-        shares = TimeShares.from_sequence(sol.x[1:7])
-        return OuterPoint(math.inf, float(sol.x[0]), 0.0, shares,
-                          shares.active_states(ACTIVE_STATE_TOL))
-    if formulation == "weighted":
-        lp = weighted_bound_lp(1.0, 1.0, gains)
-        ray = np.zeros(8)
-        ray[0], ray[1] = 1.0, -k
-        lp = LinearProgram(
-            objective=np.array([0.0, 1, 0, 0, 0, 0, 0, 0]),
-            matrix=np.vstack([lp.matrix, ray]),
-            relations=lp.relations + ("=",),
-            rhs=np.append(lp.rhs, 0.0),
-        )
-        sol = solve_lp(lp)
-        _require_optimal(sol)
-        rb = float(sol.x[1])
-        shares = TimeShares.from_sequence(sol.x[2:8])
-    else:
-        sol = solve_lp(ratio_bound_lp(k, gains))
-        _require_optimal(sol)
-        rb = float(sol.x[0])
-        shares = TimeShares.from_sequence(sol.x[1:7])
-    return OuterPoint(float(k), k * rb, rb, shares,
-                      shares.active_states(ACTIVE_STATE_TOL))
+    ra_axis = isinstance(k, float) and math.isinf(k) and k > 0
+    sol = solve_lp(_ra_axis_lp(gains) if ra_axis else ratio_bound_lp(k, gains))
+    _require_optimal(sol)
+    rate = float(sol.x[0])
+    shares = TimeShares.from_sequence(sol.x[1:7])
+    ra, rb = (rate, 0.0) if ra_axis else (k * rate, rate)
+    return OuterPoint(float(k), ra, rb, shares, shares.active_states(ACTIVE_STATE_TOL))
 
 
 def outer_weighted_bound(wa: float, wb: float, gains: ChannelGains) -> WeightedBound:

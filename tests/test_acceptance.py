@@ -36,7 +36,7 @@ from twrc import (
     symmetric_rate,
     validate_gains,
 )
-from conftest import random_gains
+from conftest import random_gains, weighted_ray_bound
 from test_lp import random_feasible_bounded_lp
 
 K_VALUES = (0.25, 0.5, 1.0, 2.0, 4.0)
@@ -162,7 +162,7 @@ def test_criterion_7_formulation_equivalence(named_cases):
     for name in ("case-a", "case-b", "case-c"):
         g = named_cases[name]
         base = sweep_region(protocol_evaluator("outer", g), g, 181)
-        alt = sweep_region(lambda k: outer_ratio_bound(k, g, formulation="weighted"),
+        alt = sweep_region(lambda k: weighted_ray_bound(k, g),
                            g, 181)
         worst = max(worst, hausdorff_distance(base, alt))
     report(7, worst <= 1e-6, f"max Hausdorff distance over cases A/B/C: {worst:.2e}")

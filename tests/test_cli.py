@@ -20,7 +20,9 @@ from twrc import (
     run_thresholds,
     validate_gains,
 )
-from twrc.cli import MAX_ALPHA_GRID, MAX_THETA_POINTS, main
+from twrc import cli
+from twrc.cli import MAX_ALPHA_GRID, MAX_GAMMA2_POINTS, MAX_THETA_POINTS, main
+from twrc.outer import Thresholds
 
 ALL_PROTOCOLS = ("mabc", "tdbc", "hbc", "six-state-df", "six-state", "comabc")
 
@@ -136,6 +138,12 @@ class TestRunCompare:
         assert protos["outer"]["max_gap_vs_outer"] == 0.0
         assert protos["comabc"]["max_gap_vs_outer"] >= 0.0
 
+    def test_duplicate_protocols_run_once(self, tmp_path):
+        sc = preset_scenario("case-a", theta_points=3, protocols=("mabc", "outer", "mabc"))
+        paths = run_compare(sc, out_dir=tmp_path)
+        assert [p.name for p in paths] == ["case-a_outer.csv", "case-a_mabc.csv",
+                                           "case-a_summary.json"]
+
     def test_empty_protocols_means_outer_only(self, tmp_path):
         sc = preset_scenario("case-b", theta_points=5)
         paths = run_compare(sc, out_dir=tmp_path)
@@ -186,6 +194,34 @@ class TestThresholdsCsv:
         path = run_thresholds((20.0, 25.0, 10.0), (1.0,), tmp_path / "one.csv")
         _, rows = read_csv(path)
         assert len(rows) == 1
+
+    def test_fractional_step_keeps_the_last_row(self, tmp_path, monkeypatch):
+        # summing 0.01 ten thousand times overshoots 100 and lost the last row
+        monkeypatch.setattr(cli, "capacity_thresholds", lambda g: Thresholds(gamma30=1.0))
+        path = run_thresholds((0.0, 100.0, 0.01), (1.0,), tmp_path / "fine.csv")
+        _, rows = read_csv(path)
+        assert len(rows) == 10_001
+        assert [r["gamma2_db"] for r in rows[-2:]] == ["99.99", "100"]
+        assert rows[1234]["gamma2_db"] == "12.34"
+
+    def test_grid_above_limit_is_2(self, tmp_path, capsys):
+        rc = main(["thresholds", "--gamma2-db", "0:40:1e-9", "--out", str(tmp_path)])
+        assert rc == 2
+        assert f"<= {MAX_GAMMA2_POINTS} points" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_grid_at_limit_is_accepted(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "capacity_thresholds", lambda g: Thresholds(gamma30=1.0))
+        top = (MAX_GAMMA2_POINTS - 1) * 0.001
+        path = run_thresholds((0.0, top, 0.001), (1.0,), tmp_path / "max.csv")
+        assert len(path.read_text().splitlines()) == 1 + MAX_GAMMA2_POINTS
+
+    def test_bad_c_values_is_2(self, tmp_path, capsys):
+        rc = main(["thresholds", "--gamma2-db", "0:10:5", "--c-values", "abc",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert "--c-values" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_rejects_bad_range(self, tmp_path):
         with pytest.raises(ValidationError):
@@ -265,6 +301,66 @@ class TestMainExitCodes:
     def test_limits_themselves_are_accepted(self):
         sc = preset_scenario("case-a", theta_points=MAX_THETA_POINTS, alpha_grid=MAX_ALPHA_GRID)
         assert (sc.theta_points, sc.alpha_grid) == (MAX_THETA_POINTS, MAX_ALPHA_GRID)
+
+
+def _written(capsys):
+    return [Path(line).name for line in capsys.readouterr().out.splitlines()]
+
+
+class TestMainScenarioPlumbing:
+    """How main() combines a scenario file with the command line."""
+
+    @pytest.fixture
+    def cfg(self, tmp_path):
+        f = tmp_path / "s.cfg"
+        f.write_text("name = plumb\ngamma1_db = 10\ngamma2_db = 15\ngamma3_db = 3\n"
+                     "theta_points = 5\nalpha_grid = 3\nprotocols = mabc, hbc\n")
+        return f
+
+    def test_compare_keeps_the_file_protocols(self, cfg, tmp_path, capsys):
+        assert main(["compare", "--scenario", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert _written(capsys) == ["plumb_outer.csv", "plumb_mabc.csv", "plumb_hbc.csv",
+                                    "plumb_summary.json"]
+
+    def test_compare_without_protocols_anywhere_is_outer_only(self, tmp_path, capsys):
+        f = tmp_path / "bare.cfg"
+        f.write_text("name = bare\ngamma1_db = 10\ngamma2_db = 15\ngamma3_db = 3\n"
+                     "theta_points = 5\n")
+        assert main(["compare", "--scenario", str(f), "--out", str(tmp_path / "o")]) == 0
+        assert _written(capsys) == ["bare_outer.csv", "bare_summary.json"]
+
+    def test_compare_protocols_flag_replaces_the_file_list(self, cfg, tmp_path, capsys):
+        assert main(["compare", "--scenario", str(cfg), "--protocols", "comabc",
+                     "--out", str(tmp_path / "o")]) == 0
+        assert _written(capsys) == ["plumb_outer.csv", "plumb_comabc.csv",
+                                    "plumb_summary.json"]
+
+    def test_compare_grid_overrides(self, cfg, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["compare", "--scenario", str(cfg), "--theta-points", "7",
+                     "--alpha-grid", "2", "--out", str(out)]) == 0
+        summary = json.loads((out / "plumb_summary.json").read_text())
+        assert summary["scenario"]["theta_points"] == 7
+        assert summary["scenario"]["alpha_grid"] == 2
+        assert sorted(summary["protocols"]) == ["hbc", "mabc", "outer"]
+        _, rows = read_csv(out / "plumb_hbc.csv")
+        assert len(rows) == 7 + 2
+
+    def test_outer_drops_the_file_protocols(self, cfg, tmp_path, capsys):
+        assert main(["outer", "--scenario", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert _written(capsys) == ["plumb_outer.csv", "plumb_summary.json"]
+
+    def test_sweep_runs_only_the_named_protocol(self, cfg, tmp_path, capsys):
+        assert main(["sweep", "--scenario", str(cfg), "--protocol", "six-state",
+                     "--out", str(tmp_path / "o")]) == 0
+        assert _written(capsys) == ["plumb_outer.csv", "plumb_six-state.csv",
+                                    "plumb_summary.json"]
+
+    def test_preset_compare_defaults_to_all_protocols(self, tmp_path, capsys):
+        assert main(["compare", "--preset", "low-snr", "--theta-points", "3",
+                     "--alpha-grid", "2", "--out", str(tmp_path / "o")]) == 0
+        assert _written(capsys) == ([f"low-snr_{p}.csv" for p in ("outer", *ALL_PROTOCOLS)]
+                                    + ["low-snr_summary.json"])
 
 
 def test_python_dash_m_twrc_help():

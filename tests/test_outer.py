@@ -21,7 +21,7 @@ from twrc import (
     solve_lp,
     validate_gains,
 )
-from conftest import random_gains
+from conftest import random_gains, weighted_ray_bound
 
 # closed form C(100)/2 for the symmetric case-B ray
 CASE_B_SYMMETRIC = 3.3291057413758973
@@ -62,7 +62,7 @@ class TestRatioBound:
     def test_formulations_agree(self, case_a):
         for k in (0.0, 0.5, 1.0, 3.0):
             a = outer_ratio_bound(k, case_a)
-            b = outer_ratio_bound(k, case_a, formulation="weighted")
+            b = weighted_ray_bound(k, case_a)
             assert a.rb == pytest.approx(b.rb, abs=1e-9)
 
     def test_ra_axis_mode(self, case_a):

@@ -19,6 +19,7 @@ from twrc import (
     validate_gains,
 )
 from twrc.region import SweepError
+from conftest import weighted_ray_bound
 
 # closed-form anchors reused from the bound/protocol tests
 CASE_B_SYMMETRIC = 3.3291057413758973
@@ -161,7 +162,7 @@ class TestHullGeometry:
     def test_hausdorff_formulation_equivalence(self, case_a):
         base = sweep_region(protocol_evaluator("outer", case_a), case_a, 31)
         alt = sweep_region(
-            lambda k: outer_ratio_bound(k, case_a, formulation="weighted"),
+            lambda k: weighted_ray_bound(k, case_a),
             case_a, 31)
         assert hausdorff_distance(base, alt) <= 1e-6
 
