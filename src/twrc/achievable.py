@@ -19,6 +19,7 @@ from .core import (
     TimeShares,
     ValidationError,
     cap,
+    is_ra_axis,
     link_capacities,
 )
 from .lp import (
@@ -80,12 +81,10 @@ def _ray_lp(matrix: np.ndarray, relations, rhs, k: float) -> LinearProgram:
     n = matrix.shape[1]
     ray = np.zeros(n)
     obj = np.zeros(n)
-    if isinstance(k, float) and math.isinf(k) and k > 0:
+    if is_ra_axis(k):
         ray[1] = 1.0
         obj[0] = 1.0
     else:
-        if not (math.isfinite(k) and k >= 0.0):
-            raise ValidationError(f"ray ratio k must be finite and >= 0, got {k!r}")
         ray[0], ray[1] = 1.0, -k
         obj[1] = 1.0
     return LinearProgram(
@@ -303,6 +302,7 @@ def six_state_df_boundary(k: float, gains: ChannelGains, alpha_grid: int = 33,
     """
     if alpha_grid < 2:
         raise ValidationError(f"alpha_grid must be >= 2, got {alpha_grid}")
+    use_ra = is_ra_axis(k)
     if gains.gamma3 == 0.0:
         # the direct link carries nothing: every split gives the same LP
         return _df_point(k, gains, 1.0, 1.0)
@@ -310,7 +310,6 @@ def six_state_df_boundary(k: float, gains: ChannelGains, alpha_grid: int = 33,
     axis = np.linspace(0.0, 1.0, alpha_grid)
     A, rel, rhs = _df_matrix(gains, 0.0, 0.0)  # the split entries are set per point
     template = _ray_lp(A, rel, rhs, k)
-    use_ra = isinstance(k, float) and math.isinf(k)
     best = _df_best(template, gains, axis, axis, use_ra, None)
 
     if refine:

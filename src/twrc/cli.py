@@ -34,6 +34,7 @@ from .core import (
     ChannelGains,
     ValidationError,
     db_to_linear,
+    is_ra_axis,
     linear_to_db,
     validate_gains,
 )
@@ -52,7 +53,7 @@ SCHEMA_VERSION = 1
 
 def _analytic_point(k: float, gains: ChannelGains, alpha_grid: int):
     """The closed-form outer bound on the ray Ra = k*Rb (no time shares)."""
-    if isinstance(k, float) and math.isinf(k):
+    if is_ra_axis(k):
         return achievable.BoundaryPoint(one_way_bound_ab(gains), 0.0, ZERO_SHARES)
     rb = one_way_bound(gains) if k == 0.0 else analytic_rb_bound(k, gains)
     return achievable.BoundaryPoint(k * rb, rb, ZERO_SHARES)
@@ -203,8 +204,7 @@ def _region_csv(reg: Region, mirrored: bool) -> str:
         k = math.inf if theta == 90.0 else math.tan(math.radians(theta))
         if theta == 45.0:
             k = 1.0
-        active = sum(1 for v in lams if v > 1e-7)
-        rows.append((theta, k, ra, rb, *lams, active))
+        rows.append((theta, k, ra, rb, *lams, len(p.shares.active_states())))
     rows.sort(key=lambda r: r[0])
     lines = [_CSV_HEADER]
     for r in rows:
@@ -227,7 +227,7 @@ def run_compare(scenario: Scenario, auto_swap: bool = True,
     regions: dict[str, Region] = {}
     for name in names:
         ev = protocol_evaluator(name, gains, scenario.alpha_grid)
-        regions[name] = sweep_region(ev, gains, scenario.theta_points, label=name)
+        regions[name] = sweep_region(ev, gains, scenario.theta_points)
 
     written = []
     for name in names:
@@ -347,7 +347,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_th = sub.add_parser("thresholds", help="direct-link capacity thresholds vs gamma2")
     p_th.add_argument("--gamma2-db", required=True, metavar="LO:HI:STEP",
-                      help="gamma2 sweep range in dB, e.g. 0:40:1")
+                      help="gamma2 sweep range in dB, e.g. 0:40:1; a range that "
+                           "starts below 0 dB needs the = form, e.g. --gamma2-db=-40:40:1")
     p_th.add_argument("--c-values", default="1,0.5,0.1",
                       help="comma-separated gamma1/gamma2 ratios in (0, 1]")
     p_th.add_argument("--out", default=".", help="output directory")

@@ -39,6 +39,18 @@ def _finite(x) -> bool:
     return isinstance(x, (int, float)) and math.isfinite(x)
 
 
+def is_ra_axis(k: float) -> bool:
+    """Whether the ray ratio k of the ray Ra = k*Rb selects the Ra axis.
+
+    k must be finite and >= 0, or +inf, which stands for the Ra axis (Rb = 0).
+    """
+    if isinstance(k, float) and k == math.inf:
+        return True
+    if not (math.isfinite(k) and k >= 0.0):
+        raise ValidationError(f"ray ratio k must be finite and >= 0, or inf, got {k!r}")
+    return False
+
+
 @dataclass(frozen=True)
 class ChannelGains:
     """Linear SNRs of the three links: gamma1 for a-r, gamma2 for b-r, gamma3 for a-b.
@@ -142,6 +154,7 @@ def link_capacities(gains: ChannelGains) -> LinkCaps:
 
 
 _SHARE_TOL = 1e-9
+ACTIVE_STATE_TOL = 1e-7  # a state whose time share exceeds this is reported active
 
 
 @dataclass(frozen=True)
@@ -177,7 +190,7 @@ class TimeShares:
         return (self.lambda1, self.lambda2, self.lambda3,
                 self.lambda4, self.lambda5, self.lambda6)
 
-    def active_states(self, threshold: float = 1e-7) -> frozenset[int]:
+    def active_states(self, threshold: float = ACTIVE_STATE_TOL) -> frozenset[int]:
         """State numbers whose share exceeds ``threshold``."""
         return frozenset(i for i, v in enumerate(self.as_tuple(), start=1) if v > threshold)
 

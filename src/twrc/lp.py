@@ -5,7 +5,10 @@ rate-region computations.  Determinism, vertex (basic) solutions and explicit
 dual multipliers matter more here than speed, so the solver is a plain
 tableau simplex: Bland's lowest-index entering rule, a stability-biased
 ratio test (largest pivot among minimal ratios, ties on the lowest basic
-index), and a hard pivot budget against cycling.
+index), and a hard pivot budget against cycling.  Each variable is
+non-negative, non-positive or free (no box bounds), so the rewrite to
+non-negative variables only negates and splits columns and every program
+keeps its own rhs.
 
 ``solve_lp`` solves one program.  ``solve_lp_stack`` solves a stack of
 programs that differ only in their constraint matrices (such as one program
@@ -33,6 +36,10 @@ STACK_CHUNK = 256  # programs per lockstep tableau in solve_lp_stack
 
 _RELATIONS = ("<=", "=", ">=")
 _INF = math.inf
+# the variable signs a program may declare, as ``bounds`` entries
+_NONNEG = (0.0, _INF)
+_NONPOS = (-_INF, 0.0)
+_FREE = (-_INF, _INF)
 
 
 class SolverError(RuntimeError):
@@ -43,9 +50,10 @@ class SolverError(RuntimeError):
 class LinearProgram:
     """A dense LP: optimize ``objective @ x`` subject to ``matrix @ x (<=|=|>=) rhs``.
 
-    Variables default to x >= 0; ``bounds`` entries may use -inf / +inf to
-    declare free or sign-flipped variables and finite values for box bounds.
-    ``sense`` is "max" (default) or "min".
+    ``bounds`` gives each variable's sign as one of (0, inf), (-inf, 0) and
+    (-inf, inf): non-negative, non-positive or free; any other entry is
+    rejected.  Variables default to x >= 0.  ``sense`` is "max" (default) or
+    "min".
     """
 
     objective: np.ndarray
@@ -83,16 +91,16 @@ class LinearProgram:
         if not (np.isfinite(obj).all() and np.isfinite(mat).all() and np.isfinite(rhs).all()):
             raise ValidationError("objective, matrix and rhs must be finite")
 
-        bounds = tuple(self.bounds) or tuple((0.0, _INF) for _ in range(obj.size))
+        bounds = tuple(self.bounds) or (_NONNEG,) * obj.size
         if len(bounds) != obj.size:
             raise ValidationError(f"bounds length {len(bounds)} != {obj.size} variables")
-        norm = []
-        for j, (lo, hi) in enumerate(bounds):
-            lo, hi = float(lo), float(hi)
-            if math.isnan(lo) or math.isnan(hi) or lo == _INF or hi == -_INF or lo > hi:
-                raise ValidationError(f"invalid bounds for variable {j}: ({lo}, {hi})")
-            norm.append((lo, hi))
-        object.__setattr__(self, "bounds", tuple(norm))
+        bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
+        for j, bound in enumerate(bounds):
+            if bound not in (_NONNEG, _NONPOS, _FREE):
+                raise ValidationError(
+                    f"variable {j} must be non-negative (0, inf), non-positive "
+                    f"(-inf, 0) or free (-inf, inf), got bounds {bound}")
+        object.__setattr__(self, "bounds", bounds)
 
     @property
     def n_vars(self) -> int:
@@ -109,8 +117,8 @@ class LpSolution:
 
     ``x`` is the primal point in the original variables; ``basis`` lists the
     standardized-form columns that are basic at the returned vertex; ``duals``
-    holds one multiplier per input row (value = objective @ x = duals @ rhs
-    for programs with plain x >= 0 variables).
+    holds one multiplier per input row, so that value = objective @ x =
+    duals @ rhs at an optimum.
     """
 
     status: str  # "optimal" | "infeasible" | "unbounded"
@@ -130,8 +138,8 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     Returns a vertex optimum with its basis and per-row dual multipliers.
     The pivot rule is fixed, so identical inputs give bit-identical output.
     """
-    c, A, b, rel, recover = _to_nonneg_form(lp, lp.matrix)
-    table, basis, artificial, ident_col, row_sign = _start_tableau(A, b, rel)
+    c, A, recover = _to_nonneg_form(lp, lp.matrix)
+    table, basis, artificial, ident_col, row_sign = _start_tableau(A, lp.rhs, lp.relations)
     ncols = artificial.size
 
     # Phase 1: drive the artificial variables to zero.
@@ -141,7 +149,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         if status != "optimal":
             raise SolverError("phase-1 subproblem reported unbounded")
         infeas = -float(cost1[basis] @ table[:, -1])
-        if infeas > _infeasibility_limit(b):
+        if infeas > _infeasibility_limit(lp.rhs):
             return _no_optimum(lp, "infeasible")
         table, basis = _purge_artificials(table, basis, artificial)
 
@@ -173,14 +181,12 @@ def solve_lp_stack(template: LinearProgram, matrices) -> list[LpSolution | Solve
     """Solve programs that differ from ``template`` only in their constraint matrix.
 
     ``matrices`` is a (B, m, n) stack; each program shares the template's
-    objective, relations, rhs, bounds and sense.  Variables must be free or
-    have lower bound 0, so that all programs share one standardized rhs.
-    The stack runs through ``solve_lp``'s two-phase simplex in lockstep, in
-    chunks of at most ``STACK_CHUNK`` programs: every program takes the pivots
-    it would take alone, so entry ``b`` of the result equals
-    ``solve_lp`` on program ``b`` bit for bit.  A numerical breakdown fails
-    only its own program, whose entry is then the ``SolverError`` that
-    ``solve_lp`` would raise for it.
+    objective, relations, rhs, bounds and sense.  The stack runs through
+    ``solve_lp``'s two-phase simplex in lockstep, in chunks of at most
+    ``STACK_CHUNK`` programs: every program takes the pivots it would take
+    alone, so entry ``b`` of the result equals ``solve_lp`` on program ``b``
+    bit for bit.  A numerical breakdown fails only its own program, whose
+    entry is then the ``SolverError`` that ``solve_lp`` would raise for it.
     """
     mats = np.asarray(matrices, dtype=float)
     if mats.ndim != 3 or mats.shape[1:] != template.matrix.shape:
@@ -189,11 +195,6 @@ def solve_lp_stack(template: LinearProgram, matrices) -> list[LpSolution | Solve
             f"{template.matrix.shape}")
     if not np.isfinite(mats).all():
         raise ValidationError("matrix stack must be finite")
-    for j, (lo, hi) in enumerate(template.bounds):
-        if lo != 0.0 and (lo, hi) != (-_INF, _INF):
-            raise ValidationError(
-                f"stacked programs need free variables or lower bound 0; "
-                f"variable {j} has bounds ({lo}, {hi})")
     out = []
     for start in range(0, len(mats), STACK_CHUNK):
         out += _solve_chunk(template, mats[start:start + STACK_CHUNK])
@@ -202,8 +203,8 @@ def solve_lp_stack(template: LinearProgram, matrices) -> list[LpSolution | Solve
 
 def _solve_chunk(lp: LinearProgram, mats: np.ndarray) -> list[LpSolution | SolverError]:
     """``solve_lp_stack`` on one chunk, phase by phase as in ``solve_lp``."""
-    c, A, b, rel, recover = _to_nonneg_form(lp, mats)
-    table, start_basis, artificial, ident_col, row_sign = _start_tableau(A, b, rel)
+    c, A, recover = _to_nonneg_form(lp, mats)
+    table, start_basis, artificial, ident_col, row_sign = _start_tableau(A, lp.rhs, lp.relations)
     del A  # copied into the tableau
     basis = np.tile(start_basis, (len(mats), 1))
     ncols = artificial.size
@@ -215,7 +216,7 @@ def _solve_chunk(lp: LinearProgram, mats: np.ndarray) -> list[LpSolution | Solve
         cost1 = np.where(artificial, -1.0, 0.0)
         members, status = _simplex_stack(table, basis, cost1, np.ones(ncols, dtype=bool))
         infeas = -(cost1[basis][:, None, :] @ table[:, :, -1:])[:, 0, 0]
-        limit = _infeasibility_limit(b)
+        limit = _infeasibility_limit(lp.rhs)
         for r, st, inf in zip(members, status, infeas):
             if isinstance(st, SolverError):
                 out[r] = st
@@ -277,14 +278,15 @@ def _no_optimum(lp: LinearProgram, status: str) -> LpSolution:
     return LpSolution(status, value, np.full(lp.n_vars, math.nan), (), np.zeros(lp.n_rows))
 
 
-def _start_tableau(A: np.ndarray, b: np.ndarray, rel: list):
+def _start_tableau(A: np.ndarray, rhs: np.ndarray, relations):
     """Phase-1 start: rows flipped to a non-negative rhs, then one slack per
     inequality and one artificial per row that has no +1 slack.
 
-    ``A`` may carry a leading stack axis; ``b`` and ``rel`` are shared, so the
-    layout is too.  Modifies ``A``, ``b`` and ``rel``.  Returns (table, basis,
+    ``A`` may carry a leading stack axis; ``rhs`` and ``relations`` are
+    shared, so the layout is too.  Modifies ``A``.  Returns (table, basis,
     artificial column mask, each row's identity column, row signs).
     """
+    b, rel = rhs.copy(), list(relations)
     m, n_struct = A.shape[-2:]
     row_sign = np.ones(m)
     for i in range(m):
@@ -326,80 +328,37 @@ def _start_tableau(A: np.ndarray, b: np.ndarray, rel: list):
 
 def _to_nonneg_form(lp: LinearProgram, A_in: np.ndarray):
     """Rewrite the program, with constraint matrix ``A_in``, over non-negative
-    variables in maximization form.
+    variables u in maximization form.
 
-    Shifts finite lower bounds, mirrors upper-bounded-only variables, splits
-    free variables, and appends explicit rows for finite upper bounds.
-    Returns (cost, matrix, rhs, relations, recover) where ``recover`` maps the
-    non-negative vector back to the original variables.  ``A_in`` and the
-    vectors ``recover`` takes may carry a leading stack axis.
+    A non-negative variable keeps its column, a non-positive one is x = -u and
+    a free one is split into x = u+ - u-; the rhs and the relations do not
+    change.  Returns (cost, matrix, recover) where ``recover`` maps u back to
+    the original variables.  ``A_in`` and the vectors ``recover`` takes may
+    carry a leading stack axis.
     """
-    sense_sign = 1.0 if lp.sense == "max" else -1.0
-    b = lp.rhs.copy()
-    cols = []
-    costs = []
-    # per original variable j, how to undo the rewrite:
-    shifted = []    # (j, column, lo): x_j = lo + u
-    mirrored = []   # (j, column, hi): x_j = hi - u
-    split = []      # (j, column of x+, column of x-): x_j = u+ - u-
-    ub_rows = []    # (structural column, upper value) rows appended at the end
-
-    for j in range(lp.n_vars):
-        lo, hi = lp.bounds[j]
-        a = A_in[..., j]
-        cj = sense_sign * lp.objective[j]
-        if lo == -_INF and hi == _INF:
-            split.append((j, len(cols), len(cols) + 1))
-            cols.append(a.copy())
-            costs.append(cj)
-            cols.append(-a)
-            costs.append(-cj)
-        elif lo == -_INF:
-            # x = hi - u with u >= 0
-            mirrored.append((j, len(cols), hi))
-            b = b - a * hi
-            cols.append(-a)
-            costs.append(-cj)
-        else:
-            # x = lo + u with u >= 0 (and optionally u <= hi - lo)
-            shifted.append((j, len(cols), lo))
-            if lo != 0.0:
-                b = b - a * lo
-            if hi != _INF:
-                ub_rows.append((len(cols), hi - lo))
-            cols.append(a.copy())
-            costs.append(cj)
-
-    n_struct = len(cols)
-    A = np.stack(cols, axis=-1) if cols else np.zeros(A_in.shape[:-1] + (0,))
-    rel = list(lp.relations)
-    if ub_rows:
-        extra = np.zeros((len(ub_rows), n_struct))
-        extra_b = np.zeros(len(ub_rows))
-        for i, (col, ub) in enumerate(ub_rows):
-            extra[i, col] = 1.0
-            extra_b[i] = ub
-        A = np.concatenate([A, np.broadcast_to(extra, A.shape[:-2] + extra.shape)], axis=-2)
-        b = np.concatenate([b, extra_b])
-        rel += ["<="] * len(ub_rows)
-
-    shifted, mirrored, split = (tuple(np.array(v) for v in zip(*specs))
-                                for specs in (shifted, mirrored, split))
+    var, sign = [], []       # column k of the rewrite is sign[k] * x[var[k]]
+    single, split = [], []   # (j, k): x_j = sign[k] * u_k; (j, k): x_j = u_k - u_k+1
+    for j, (lo, hi) in enumerate(lp.bounds):
+        (split if (lo, hi) == _FREE else single).append((j, len(var)))
+        if hi == _INF:
+            var.append(j)
+            sign.append(1.0)
+        if lo == -_INF:
+            var.append(j)
+            sign.append(-1.0)
+    var, sign = np.array(var, dtype=int), np.array(sign)
+    cost = sign * ((1.0 if lp.sense == "max" else -1.0) * lp.objective[var])
+    s_j, s_k = np.array(single, dtype=int).reshape(-1, 2).T
+    f_j, f_k = np.array(split, dtype=int).reshape(-1, 2).T
+    s_sign = sign[s_k]
 
     def recover(u: np.ndarray) -> np.ndarray:
         x = np.zeros(u.shape[:-1] + (lp.n_vars,))
-        if shifted:
-            j, col, lo = shifted
-            x[..., j] = lo + u[..., col]
-        if mirrored:
-            j, col, hi = mirrored
-            x[..., j] = hi - u[..., col]
-        if split:
-            j, pos, neg = split
-            x[..., j] = u[..., pos] - u[..., neg]
+        x[..., s_j] = 0.0 + s_sign * u[..., s_k]  # 0.0 + turns a -0.0 into 0.0
+        x[..., f_j] = u[..., f_k] - u[..., f_k + 1]
         return x
 
-    return np.asarray(costs), A, b, rel, recover
+    return cost, A_in[..., var] * sign, recover
 
 
 def _simplex(table: np.ndarray, basis: np.ndarray, cost: np.ndarray, allowed: np.ndarray) -> str:
@@ -587,49 +546,16 @@ def dual_of(lp: LinearProgram) -> LinearProgram:
     Follows the textbook correspondence: constraint relations map to dual
     variable signs and variable signs map to dual constraint relations, so
     ``dual_of(dual_of(lp))`` is equivalent to ``lp`` and a feasible, bounded
-    pair has equal optimal values.  Variables must be sign-constrained or
-    free (box bounds other than (0, inf), (-inf, 0], (-inf, inf) are not
-    supported here).
+    pair has equal optimal values.
     """
-    var_kind = []
-    for j, (lo, hi) in enumerate(lp.bounds):
-        if lo == 0.0 and hi == _INF:
-            var_kind.append("nonneg")
-        elif lo == -_INF and hi == 0.0:
-            var_kind.append("nonpos")
-        elif lo == -_INF and hi == _INF:
-            var_kind.append("free")
-        else:
-            raise ValidationError(
-                f"dual_of supports sign-constrained or free variables only; "
-                f"variable {j} has bounds ({lo}, {hi})"
-            )
-
-    maximize = lp.sense == "max"
-    # Dual variable bounds from primal row relations.
-    y_bounds = []
-    for r in lp.relations:
-        if r == "=":
-            y_bounds.append((-_INF, _INF))
-        elif (r == "<=") == maximize:
-            y_bounds.append((0.0, _INF))
-        else:
-            y_bounds.append((-_INF, 0.0))
-    # Dual row relations from primal variable signs.
-    d_rel = []
-    for kind in var_kind:
-        if kind == "free":
-            d_rel.append("=")
-        elif (kind == "nonneg") == maximize:
-            d_rel.append(">=")
-        else:
-            d_rel.append("<=")
-
+    # A max program's <= rows take multipliers y >= 0 and its variables x >= 0
+    # give >= rows; a min program's <= rows take y <= 0 and its x >= 0 give <= rows.
+    le_sign, ge_sign = (_NONNEG, _NONPOS) if lp.sense == "max" else (_NONPOS, _NONNEG)
     return LinearProgram(
         objective=lp.rhs.copy(),
         matrix=lp.matrix.T.copy(),
-        relations=tuple(d_rel),
+        relations=tuple({_FREE: "=", le_sign: ">=", ge_sign: "<="}[b] for b in lp.bounds),
         rhs=lp.objective.copy(),
-        bounds=tuple(y_bounds),
-        sense="min" if maximize else "max",
+        bounds=tuple({"=": _FREE, "<=": le_sign, ">=": ge_sign}[r] for r in lp.relations),
+        sense="min" if lp.sense == "max" else "max",
     )

@@ -15,17 +15,19 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .core import (
+    ACTIVE_STATE_TOL,
     ChannelGains,
     LinkCaps,
     TimeShares,
     ValidationError,
     cap,
+    is_ra_axis,
     link_capacities,
 )
 from .lp import LinearProgram, SolverError, solve_lp
 
-ACTIVE_STATE_TOL = 1e-7
 _DUAL_SLACK_TOL = 1e-9
+_THRESHOLD_REL_TOL = 1e-9  # bisection stops when the bracket is this narrow, relative
 
 
 @dataclass(frozen=True)
@@ -168,7 +170,7 @@ def outer_ratio_bound(k: float, gains: ChannelGains) -> OuterPoint:
 
     ``k=math.inf`` selects the dedicated Ra-axis mode (Rb = 0, maximize Ra).
     """
-    ra_axis = isinstance(k, float) and math.isinf(k) and k > 0
+    ra_axis = is_ra_axis(k)
     sol = solve_lp(_ra_axis_lp(gains) if ra_axis else ratio_bound_lp(k, gains))
     _require_optimal(sol)
     rate = float(sol.x[0])
@@ -325,7 +327,7 @@ def analytic_weighted_bound(k: float, gains: ChannelGains) -> float:
     return max(t1, t2, t3, t4)
 
 
-def capacity_thresholds(gains: ChannelGains, rel_tol: float = 1e-9) -> Thresholds:
+def capacity_thresholds(gains: ChannelGains) -> Thresholds:
     """Largest direct-link SNRs for which the symmetric-rate bound is relay-limited.
 
     For gamma1 = gamma2 = g the threshold gamma30 solves
@@ -344,7 +346,7 @@ def capacity_thresholds(gains: ChannelGains, rel_tol: float = 1e-9) -> Threshold
         def f(x: float) -> float:
             return cap(x) + cap((root + math.sqrt(x)) ** 2)
 
-        return Thresholds(gamma30=_solve_increasing(f, 2.0 * c, g2, rel_tol))
+        return Thresholds(gamma30=_solve_increasing(f, 2.0 * c, g2))
 
     c1, c2 = cap(g1), cap(g2)
     target = 2.0 * c1 * c2
@@ -357,13 +359,12 @@ def capacity_thresholds(gains: ChannelGains, rel_tol: float = 1e-9) -> Threshold
         return c1 * cap(x) + c2 * cap((r1 + math.sqrt(x)) ** 2)
 
     return Thresholds(
-        gamma31=_solve_increasing(f1, target, g2, rel_tol),
-        gamma32=_solve_increasing(f2, target, g2, rel_tol),
+        gamma31=_solve_increasing(f1, target, g2),
+        gamma32=_solve_increasing(f2, target, g2),
     )
 
 
-def _solve_increasing(f: Callable[[float], float], target: float,
-                      hi: float, rel_tol: float) -> float:
+def _solve_increasing(f: Callable[[float], float], target: float, hi: float) -> float:
     """Root of f(x) = target for increasing f, by bracket expansion + bisection."""
     if f(0.0) >= target:
         return 0.0
@@ -375,7 +376,7 @@ def _solve_increasing(f: Callable[[float], float], target: float,
     else:
         raise SolverError("could not bracket the threshold root")
     lo = 0.0
-    while hi - lo > rel_tol * hi:
+    while hi - lo > _THRESHOLD_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break  # adjacent floats: the bracket cannot shrink further

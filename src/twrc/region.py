@@ -37,9 +37,7 @@ class Region:
 
     points: tuple
     thetas_deg: tuple[float, ...]
-    label: str
     gains: ChannelGains
-    grid: int
     hull: tuple[tuple[float, float], ...]
 
 
@@ -65,7 +63,7 @@ def ray_grid(theta_points: int) -> list[tuple[float, float]]:
 
 
 def sweep_region(evaluator: Callable[[float], object], gains: ChannelGains,
-                 theta_points: int = 181, label: str = "") -> Region:
+                 theta_points: int = 181) -> Region:
     """Sweep a per-ray evaluator over the grid and close the region.
 
     ``evaluator(k)`` must return an object with ``ra`` and ``rb`` attributes
@@ -82,7 +80,7 @@ def sweep_region(evaluator: Callable[[float], object], gains: ChannelGains,
         points.append(p)
         thetas.append(theta)
     hull = convex_hull([(0.0, 0.0)] + [(p.ra, p.rb) for p in points])
-    return Region(tuple(points), tuple(thetas), label, gains, theta_points, tuple(hull))
+    return Region(tuple(points), tuple(thetas), gains, tuple(hull))
 
 
 def convex_hull(points: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:

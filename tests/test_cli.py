@@ -268,6 +268,14 @@ class TestMainExitCodes:
         assert rc == 0
         assert (tmp_path / "thresholds.csv").exists()
 
+    def test_thresholds_cli_range_below_0_db(self, tmp_path, capsys):
+        # the documented = form; "--gamma2-db -40:40:1" would read the range as an option
+        assert main(["thresholds", "--gamma2-db=-40:40:1", "--out", str(tmp_path)]) == 0
+        _, rows = read_csv(tmp_path / "thresholds.csv")
+        for c in ("1", "0.5", "0.1"):
+            grid = [r["gamma2_db"] for r in rows if r["c"] == c]
+            assert grid == [str(db) for db in range(-40, 41)]
+
     @pytest.mark.parametrize("name", ["../escaped", "sub/x", "..", ".", "a\\b"])
     def test_name_that_leaves_out_dir_is_2(self, tmp_path, capsys, name):
         out = tmp_path / "out"
@@ -361,6 +369,14 @@ class TestMainScenarioPlumbing:
                      "--alpha-grid", "2", "--out", str(tmp_path / "o")]) == 0
         assert _written(capsys) == ([f"low-snr_{p}.csv" for p in ("outer", *ALL_PROTOCOLS)]
                                     + ["low-snr_summary.json"])
+
+
+@pytest.mark.parametrize("name", cli.PROTOCOL_IDS)
+@pytest.mark.parametrize("k", [-math.inf, math.nan])
+def test_every_evaluator_rejects_bad_ray_ratios(name, k):
+    g = validate_gains(db_to_linear(10.0), db_to_linear(15.0), db_to_linear(3.0))
+    with pytest.raises(ValidationError):
+        cli.protocol_evaluator(name, g, alpha_grid=2)(k)
 
 
 def test_python_dash_m_twrc_help():

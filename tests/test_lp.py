@@ -64,11 +64,12 @@ def test_equality_row_with_free_variable():
     assert sol.value == pytest.approx(1.0, abs=1e-12)
 
 
-def test_variable_box_bounds():
-    lp = LinearProgram([1.0], np.zeros((0, 1)), (), [], bounds=((0.0, 2.5),))
-    assert solve_lp(lp).value == pytest.approx(2.5)
-    lp2 = LinearProgram([-1.0], np.zeros((0, 1)), (), [], bounds=((-4.0, 2.5),))
-    assert solve_lp(lp2).value == pytest.approx(4.0)
+def test_box_bounds_are_rejected_at_construction():
+    for box in ((0.0, 2.5), (-4.0, 2.5), (1.0, math.inf), (-math.inf, -1.0), (0.0, 0.0)):
+        with pytest.raises(ValidationError):
+            LinearProgram([1.0], [[1.0]], ("<=",), [5.0], bounds=(box,))
+    for sign in ((0, math.inf), (-math.inf, 0), (-math.inf, math.inf)):
+        assert LinearProgram([1.0], [[1.0]], ("<=",), [5.0], bounds=(sign,)).bounds == (sign,)
 
 
 def test_nonpositive_variable():
@@ -107,12 +108,6 @@ def test_dual_of_dual_recovers_program():
     assert np.allclose(dd.matrix, lp.matrix)
     assert dd.relations == lp.relations
     assert np.allclose(dd.rhs, lp.rhs)
-
-
-def test_dual_of_rejects_box_bounds():
-    lp = LinearProgram([1.0], [[1.0]], ("<=",), [5.0], bounds=((0.0, 2.0),))
-    with pytest.raises(ValidationError):
-        dual_of(lp)
 
 
 def test_strong_duality_on_random_lps():
@@ -229,6 +224,32 @@ def test_stack_matches_scalar_on_random_lps():
     assert {"optimal", "infeasible", "unbounded"} <= statuses
 
 
+def test_stack_matches_scalar_with_nonpositive_and_free_variables():
+    # x -> -x on some columns keeps each random program feasible and bounded;
+    # free columns may make it unbounded
+    rng = np.random.default_rng(12)
+    statuses = set()
+    for _ in range(30):
+        t = random_feasible_bounded_lp(rng)
+        m, n = t.matrix.shape
+        kind = rng.integers(0, 3, n)  # 0 non-negative, 1 non-positive, 2 free
+        kind[0] = 1
+        mats = np.repeat(t.matrix[None], 8, axis=0)
+        mats[1:] += rng.uniform(-1.0, 1.0, size=(7, m, n)) * (rng.random((7, m, n)) < 0.4)
+        mats[:, :, kind == 1] *= -1.0
+        bounds = tuple(((0.0, math.inf), (-math.inf, 0.0), (-math.inf, math.inf))[j]
+                       for j in kind)
+        for sense in ("max", "min"):
+            tt = LinearProgram(t.objective, mats[0], t.relations, t.rhs, bounds, sense)
+            wants = assert_stack_matches_scalar(tt, mats)
+            for w in wants:
+                statuses.add(getattr(w, "status", "error"))
+                if getattr(w, "status", None) == "optimal":
+                    assert (w.x[kind == 1] <= 0.0).all() and (w.x[kind == 0] >= 0.0).all()
+                    assert abs(float(w.duals @ tt.rhs) - w.value) <= 1e-7 * (1.0 + abs(w.value))
+    assert {"optimal", "unbounded"} <= statuses
+
+
 def test_stack_matches_scalar_on_special_members():
     # max x1 + x2 over rows (<= 4, = 2, = 4, >= 1), x1 >= 0 and x2 free
     template = LinearProgram([1.0, 1.0], np.zeros((4, 2)), ("<=", "=", "=", ">="),
@@ -271,6 +292,3 @@ def test_stack_rejects_bad_input():
         solve_lp_stack(t, np.ones((2, 2, 2)))
     with pytest.raises(ValidationError):
         solve_lp_stack(t, np.full((2, 1, 2), math.nan))
-    shifted = LinearProgram([1.0], [[1.0]], ("<=",), [1.0], bounds=((1.0, math.inf),))
-    with pytest.raises(ValidationError):
-        solve_lp_stack(shifted, np.ones((2, 1, 1)))

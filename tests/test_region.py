@@ -37,7 +37,7 @@ def unit_square_evaluator(k):
 class TestSweep:
     def test_synthetic_square(self):
         g = validate_gains(1.0, 1.0, 0.0)
-        reg = sweep_region(unit_square_evaluator, g, 21, label="square")
+        reg = sweep_region(unit_square_evaluator, g, 21)
         assert set(reg.hull) == {(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)}
 
     def test_rejects_tiny_grid(self, case_a):
