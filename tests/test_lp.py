@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -64,7 +65,8 @@ def test_equality_row_with_free_variable():
     assert sol.value == pytest.approx(1.0, abs=1e-12)
 
 
-def test_box_bounds_are_rejected_at_construction():
+def test_variable_box_bounds():
+    # box bounds are not a variable sign: each is refused at construction
     for box in ((0.0, 2.5), (-4.0, 2.5), (1.0, math.inf), (-math.inf, -1.0), (0.0, 0.0)):
         with pytest.raises(ValidationError):
             LinearProgram([1.0], [[1.0]], ("<=",), [5.0], bounds=(box,))
@@ -108,6 +110,21 @@ def test_dual_of_dual_recovers_program():
     assert np.allclose(dd.matrix, lp.matrix)
     assert dd.relations == lp.relations
     assert np.allclose(dd.rhs, lp.rhs)
+
+
+def test_dual_of_rejects_box_bounds():
+    # a box-bounded program never reaches dual_of: neither building one nor
+    # swapping box bounds into a valid program succeeds
+    with pytest.raises(ValidationError):
+        dual_of(LinearProgram([1.0], [[1.0]], ("<=",), [5.0], bounds=((0.0, 2.0),)))
+    lp = LinearProgram([1.0], [[1.0]], ("<=",), [5.0])
+    with pytest.raises(ValidationError):
+        dual_of(dataclasses.replace(lp, bounds=((0.0, 2.0),)))
+    # each variable sign maps to a dual row and back, in both senses
+    for sense in ("max", "min"):
+        for sign in ((0.0, math.inf), (-math.inf, 0.0), (-math.inf, math.inf)):
+            signed = LinearProgram([1.0], [[1.0]], ("<=",), [5.0], bounds=(sign,), sense=sense)
+            assert dual_of(dual_of(signed)).bounds == (sign,)
 
 
 def test_strong_duality_on_random_lps():
