@@ -19,8 +19,9 @@ from .core import (
     TimeShares,
     ValidationError,
     cap,
-    is_ra_axis,
     link_capacities,
+    ray_rates,
+    tie_ray,
 )
 from .lp import (
     STACK_CHUNK,
@@ -67,32 +68,18 @@ def _protocol_point(matrix: np.ndarray, relations, rhs, k: float,
     of ``states``, and every other state gets share 0."""
     x = _ray_optimum(solve_lp(_ray_lp(matrix, relations, rhs, k)))
     lam = [0.0] * 6
-    for state, share in zip(states, x[2:]):
+    for state, share in zip(states, x[1:]):
         lam[state - 1] = share
-    return BoundaryPoint(float(x[0]), float(x[1]), TimeShares.from_sequence(lam))
+    return BoundaryPoint(*ray_rates(x[0], k), TimeShares.from_sequence(lam))
 
 
 def _ray_lp(matrix: np.ndarray, relations, rhs, k: float) -> LinearProgram:
-    """The ray-tied program of a protocol system.
-
-    Columns 0 and 1 of ``matrix`` are Ra and Rb.  For finite k the tie is
-    Ra = k*Rb and Rb is maximized; k = inf pins Rb = 0 and maximizes Ra.
-    """
-    n = matrix.shape[1]
-    ray = np.zeros(n)
-    obj = np.zeros(n)
-    if is_ra_axis(k):
-        ray[1] = 1.0
-        obj[0] = 1.0
-    else:
-        ray[0], ray[1] = 1.0, -k
-        obj[1] = 1.0
-    return LinearProgram(
-        objective=obj,
-        matrix=np.vstack([matrix, ray]),
-        relations=tuple(relations) + ("=",),
-        rhs=np.append(np.asarray(rhs, dtype=float), 0.0),
-    )
+    """The ray-tied program of a system whose columns 0 and 1 are Ra and Rb:
+    ``tie_ray`` merges them into column 0, the rate that is maximized."""
+    tied = tie_ray(matrix, k)
+    obj = np.zeros(tied.shape[1])
+    obj[0] = 1.0
+    return LinearProgram(objective=obj, matrix=tied, relations=relations, rhs=rhs)
 
 
 def _ray_optimum(sol: LpSolution | SolverError) -> np.ndarray:
@@ -261,9 +248,11 @@ def _df_matrix(gains: ChannelGains, alpha1: float, alpha2: float):
     return np.array(rows), tuple(rel), rhs
 
 
-# (row, column) of the entries of the _df_matrix system that the power split
-# sets, in _df_split_caps order; each holds minus that capacity
-_DF_SPLIT_ENTRIES = ((2, 2), (3, 2), (4, 3), (5, 3))
+# (row, column) of the entries of the ray-tied _df_matrix system that the
+# power split sets, in _df_split_caps order; each holds minus that capacity
+_DF_SPLIT_ENTRIES = ((2, 1), (3, 1), (4, 2), (5, 2))
+# split rates within this relative distance of a grid stage's best are tied
+_DF_TIE_RTOL = 1e-12
 
 
 def _df_split_caps(gains: ChannelGains, alpha1: float, alpha2: float):
@@ -278,13 +267,13 @@ def _df_split_caps(gains: ChannelGains, alpha1: float, alpha2: float):
 def _df_point(k: float, gains: ChannelGains, alpha1: float, alpha2: float) -> BoundaryPoint:
     A, rel, rhs = _df_matrix(gains, alpha1, alpha2)
     x = _ray_optimum(solve_lp(_ray_lp(A, rel, rhs, k)))
-    return _df_boundary_point(x, TimeShares.from_sequence(x[2:8]), alpha1, alpha2)
+    return _df_boundary_point(k, x, TimeShares.from_sequence(x[1:7]), alpha1, alpha2)
 
 
-def _df_boundary_point(x: np.ndarray, shares: TimeShares,
+def _df_boundary_point(k: float, x: np.ndarray, shares: TimeShares,
                        alpha1: float, alpha2: float) -> BoundaryPoint:
-    flows = {name: float(x[8 + i]) for i, name in enumerate(_DF_FLOWS)}
-    return BoundaryPoint(float(x[0]), float(x[1]), shares, flows=flows,
+    flows = {name: float(x[7 + i]) for i, name in enumerate(_DF_FLOWS)}
+    return BoundaryPoint(*ray_rates(x[0], k), shares, flows=flows,
                          power_split=PowerSplit(alpha1, alpha2))
 
 
@@ -296,13 +285,12 @@ def six_state_df_boundary(k: float, gains: ChannelGains, alpha_grid: int = 33,
     between the relay-bound and direct-link messages.  The power splits are
     optimized over an ``alpha_grid`` x ``alpha_grid`` grid with one local
     refinement pass (a 9x9 sub-grid one base spacing wide around the best
-    point).  Returns the best grid point: the first, in grid order, whose
-    rate is strictly the largest.  Each grid stage is solved as one stack of
-    programs, one per split (``solve_lp_stack``).
+    point).  A stage keeps its first point, in grid order, within
+    ``_DF_TIE_RTOL`` of its best rate; the refinement must beat that by more.
+    Each grid stage is solved as one stack of programs (``solve_lp_stack``).
     """
     if alpha_grid < 2:
         raise ValidationError(f"alpha_grid must be >= 2, got {alpha_grid}")
-    use_ra = is_ra_axis(k)
     if gains.gamma3 == 0.0:
         # the direct link carries nothing: every split gives the same LP
         return _df_point(k, gains, 1.0, 1.0)
@@ -310,28 +298,29 @@ def six_state_df_boundary(k: float, gains: ChannelGains, alpha_grid: int = 33,
     axis = np.linspace(0.0, 1.0, alpha_grid)
     A, rel, rhs = _df_matrix(gains, 0.0, 0.0)  # the split entries are set per point
     template = _ray_lp(A, rel, rhs, k)
-    best = _df_best(template, gains, axis, axis, use_ra, None)
+    best = _df_best(template, gains, axis, axis)
 
     if refine:
         radius = 1.0 / (alpha_grid - 1)
         b1, b2 = best[2], best[3]
         sub1 = np.linspace(max(0.0, b1 - radius), min(1.0, b1 + radius), 9)
         sub2 = np.linspace(max(0.0, b2 - radius), min(1.0, b2 + radius), 9)
-        best = _df_best(template, gains, sub1, sub2, use_ra, best)
-    return _df_boundary_point(*best)
+        fine = _df_best(template, gains, sub1, sub2)
+        if fine[0][0] - best[0][0] > _DF_TIE_RTOL * best[0][0]:
+            best = fine
+    return _df_boundary_point(k, *best)
 
 
-def _df_best(template: LinearProgram, gains: ChannelGains, axis1, axis2,
-             use_ra: bool, best):
-    """Walk the splits ``axis1`` x ``axis2`` in grid order from ``best``.
+def _df_best(template: LinearProgram, gains: ChannelGains, axis1, axis2):
+    """The best split of ``axis1`` x ``axis2`` as (x, shares, alpha1, alpha2);
+    x[0] is the rate the ray program maximizes.
 
-    ``best`` is None or (x, shares, alpha1, alpha2) of the leader so far; a
-    point takes the lead only with a strictly larger rate.  The first failing
-    point raises what a point-by-point solve of the grid would raise.
+    The first failing point, in grid order, raises what a point-by-point
+    solve of the grid would raise.
     """
     splits = [(float(a1), float(a2)) for a1 in axis1 for a2 in axis2]
-    best_obj = -1.0 if best is None else float(best[0][0 if use_ra else 1])
     rows, cols = zip(*_DF_SPLIT_ENTRIES)
+    points = []
     for start in range(0, len(splits), STACK_CHUNK):
         chunk = splits[start:start + STACK_CHUNK]
         mats = np.repeat(template.matrix[None], len(chunk), axis=0)
@@ -339,8 +328,6 @@ def _df_best(template: LinearProgram, gains: ChannelGains, axis1, axis2,
                                for a1, a2 in chunk]
         for (a1, a2), sol in zip(chunk, solve_lp_stack(template, mats)):
             x = _ray_optimum(sol)
-            shares = TimeShares.from_sequence(x[2:8])
-            obj = float(x[0 if use_ra else 1])
-            if obj > best_obj:
-                best, best_obj = (x, shares, a1, a2), obj
-    return best
+            points.append((x, TimeShares.from_sequence(x[1:7]), a1, a2))
+    top = max(p[0][0] for p in points)
+    return next(p for p in points if top - p[0][0] <= _DF_TIE_RTOL * top)

@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 class ValidationError(ValueError):
     """An input violates the channel model's assumptions."""
@@ -49,6 +51,25 @@ def is_ra_axis(k: float) -> bool:
     if not (math.isfinite(k) and k >= 0.0):
         raise ValidationError(f"ray ratio k must be finite and >= 0, or inf, got {k!r}")
     return False
+
+
+def tie_ray(matrix, k: float) -> np.ndarray:
+    """Substitute the ray Ra = k*Rb into a system whose columns 0 and 1 are Ra, Rb.
+
+    They become one column of the larger rate R, so no coefficient grows: R = Rb
+    and k*colRa + colRb for k <= 1, R = Ra and colRa + colRb/k for k > 1 (the
+    Ra axis at k = inf, as 1/inf = 0).  ``matrix`` may be a (B, m, n) stack.
+    """
+    is_ra_axis(k)  # rejects a k that is no ray ratio
+    m = np.asarray(matrix, dtype=float)
+    rate = k * m[..., 0] + m[..., 1] if k <= 1.0 else m[..., 0] + m[..., 1] / k
+    return np.concatenate([rate[..., None], m[..., 2:]], axis=-1)
+
+
+def ray_rates(rate: float, k: float) -> tuple[float, float]:
+    """(Ra, Rb) on the ray Ra = k*Rb from the rate R that ``tie_ray`` keeps."""
+    rate = float(rate)
+    return (k * rate, rate) if k <= 1.0 else (rate, rate / k)
 
 
 @dataclass(frozen=True)

@@ -532,7 +532,9 @@ def _purge_stack(T: np.ndarray, bas: np.ndarray, artificial: np.ndarray) -> np.n
         has = cand.any(axis=1)
         drop[:, pos] = art & ~has
         sel = np.nonzero(art & has)[0]
-        if sel.size:
+        if sel.size == len(T):  # every program: pivot in place, without a copy
+            _pivot_stack(T, bas, np.full(sel.size, pos), cand.argmax(axis=1), np.empty_like(T))
+        elif sel.size:
             sub, sub_bas = T[sel], bas[sel]
             _pivot_stack(sub, sub_bas, np.full(sel.size, pos), cand[sel].argmax(axis=1),
                          np.empty_like(sub))

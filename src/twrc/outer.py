@@ -21,8 +21,9 @@ from .core import (
     TimeShares,
     ValidationError,
     cap,
-    is_ra_axis,
     link_capacities,
+    ray_rates,
+    tie_ray,
 )
 from .lp import LinearProgram, SolverError, solve_lp
 
@@ -105,6 +106,20 @@ def _cut_rows(caps: LinkCaps) -> np.ndarray:
     ])
 
 
+_CUT_SET_RHS = (0.0, 0.0, 0.0, 0.0, 1.0)
+
+
+def _cut_set_matrix(gains: ChannelGains) -> np.ndarray:
+    """The cut-set system over (Ra, Rb, lam1..lam6): the four cut rows, then
+    the time-share budget (rhs ``_CUT_SET_RHS``, all rows ``<=``)."""
+    A = np.zeros((5, 8))
+    A[0, 0] = A[1, 0] = 1.0
+    A[2, 1] = A[3, 1] = 1.0
+    A[:4, 2:] = -_cut_rows(link_capacities(gains))
+    A[4, 2:] = 1.0
+    return A
+
+
 def ratio_bound_lp(k: float, gains: ChannelGains) -> LinearProgram:
     """The per-ray program: maximize Rb over (Rb, lam1..lam6) with Ra = k*Rb inlined.
 
@@ -133,49 +148,22 @@ def weighted_bound_lp(wa: float, wb: float, gains: ChannelGains) -> LinearProgra
             raise ValidationError(f"{name} must be finite and >= 0, got {w!r}")
     if wa == 0.0 and wb == 0.0:
         raise ValidationError("at least one of the weights must be positive")
-    cuts = _cut_rows(link_capacities(gains))
-    A = np.zeros((5, 8))
-    A[0, 0] = A[1, 0] = 1.0
-    A[2, 1] = A[3, 1] = 1.0
-    A[:4, 2:] = -cuts
-    A[4, 2:] = 1.0
     obj = np.zeros(8)
     obj[0], obj[1] = wa, wb
-    return LinearProgram(
-        objective=obj,
-        matrix=A,
-        relations=("<=",) * 5,
-        rhs=np.array([0.0, 0.0, 0.0, 0.0, 1.0]),
-    )
-
-
-def _ra_axis_lp(gains: ChannelGains) -> LinearProgram:
-    """Maximize Ra with Rb = 0 (the k -> infinity end of the sweep)."""
-    cuts = _cut_rows(link_capacities(gains))
-    A = np.zeros((3, 7))
-    A[0, 0] = A[1, 0] = 1.0
-    A[0, 1:] = -cuts[0]
-    A[1, 1:] = -cuts[1]
-    A[2, 1:] = 1.0
-    return LinearProgram(
-        objective=np.array([1.0, 0, 0, 0, 0, 0, 0]),
-        matrix=A,
-        relations=("<=",) * 3,
-        rhs=np.array([0.0, 0.0, 1.0]),
-    )
+    return LinearProgram(objective=obj, matrix=_cut_set_matrix(gains),
+                         relations=("<=",) * 5, rhs=_CUT_SET_RHS)
 
 
 def outer_ratio_bound(k: float, gains: ChannelGains) -> OuterPoint:
-    """Largest Rb compatible with the cut-set constraints on the ray Ra = k*Rb.
-
-    ``k=math.inf`` selects the dedicated Ra-axis mode (Rb = 0, maximize Ra).
-    """
-    ra_axis = is_ra_axis(k)
-    sol = solve_lp(_ra_axis_lp(gains) if ra_axis else ratio_bound_lp(k, gains))
+    """The outer-bound point on the ray Ra = k*Rb (k = inf: the Ra axis), from the
+    cut-set system with the ray substituted (``tie_ray``)."""
+    obj = np.zeros(7)
+    obj[0] = 1.0
+    sol = solve_lp(LinearProgram(objective=obj, matrix=tie_ray(_cut_set_matrix(gains), k),
+                                 relations=("<=",) * 5, rhs=_CUT_SET_RHS))
     _require_optimal(sol)
-    rate = float(sol.x[0])
     shares = TimeShares.from_sequence(sol.x[1:7])
-    ra, rb = (rate, 0.0) if ra_axis else (k * rate, rate)
+    ra, rb = ray_rates(sol.x[0], k)
     return OuterPoint(float(k), ra, rb, shares, shares.active_states(ACTIVE_STATE_TOL))
 
 

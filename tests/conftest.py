@@ -3,8 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from twrc import OuterPoint, TimeShares, db_to_linear, solve_lp, validate_gains, weighted_bound_lp
-from twrc.achievable import _ray_lp
+from twrc import (
+    LinearProgram,
+    OuterPoint,
+    TimeShares,
+    db_to_linear,
+    solve_lp,
+    validate_gains,
+    weighted_bound_lp,
+)
 from twrc.outer import ACTIVE_STATE_TOL
 
 
@@ -39,13 +46,37 @@ def random_gains(rng, n):
     return out
 
 
+def wide_channels(rng, n):
+    """n valid gain triples over the whole SNR range people try: gamma2 in
+    -50..70 dB, gamma1 up to 20 dB below it (equal on every seventh) and
+    gamma3 up to 30 dB below gamma1, with gamma3 = 0 on every tenth channel
+    and 1e-12*gamma1 on every tenth (offset 5)."""
+    out = []
+    for i in range(n):
+        g2_db = rng.uniform(-50.0, 70.0)
+        g1_db = g2_db if i % 7 == 6 else g2_db - rng.uniform(0.0, 20.0)
+        g3_db = g1_db - rng.uniform(0.0, 30.0)
+        g1 = db_to_linear(g1_db)
+        g3 = {0: 0.0, 5: 1e-12 * g1}.get(i % 10, db_to_linear(g3_db))
+        out.append(validate_gains(g1, db_to_linear(g2_db), g3))
+    return out
+
+
 def weighted_ray_bound(k, gains):
     """Outer-bound point on the ray Ra = k*Rb from the weighted-sum cut-set
     program, with (Ra, Rb) kept as separate variables and the ray tied by an
     equality row: an independent layout of the program ``outer_ratio_bound``
     solves."""
     lp = weighted_bound_lp(1.0, 1.0, gains)
-    sol = solve_lp(_ray_lp(lp.matrix, lp.relations, lp.rhs, k))
+    ray = np.zeros(lp.n_vars)
+    obj = np.zeros(lp.n_vars)
+    if math.isinf(k):  # the Ra axis: Rb = 0, maximize Ra
+        ray[1] = obj[0] = 1.0
+    else:  # Ra - k*Rb = 0, maximize Rb
+        ray[0], ray[1] = 1.0, -k
+        obj[1] = 1.0
+    sol = solve_lp(LinearProgram(objective=obj, matrix=np.vstack([lp.matrix, ray]),
+                                 relations=lp.relations + ("=",), rhs=np.append(lp.rhs, 0.0)))
     assert sol.is_optimal, sol.status
     shares = TimeShares.from_sequence(sol.x[2:8])
     rb = float(sol.x[1])

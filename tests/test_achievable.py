@@ -5,6 +5,8 @@ import pytest
 
 from twrc import (
     PRESETS,
+    SolverError,
+    ValidationError,
     cap,
     comabc_boundary,
     db_to_linear,
@@ -13,13 +15,15 @@ from twrc import (
     mabc_boundary,
     outer_ratio_bound,
     preset_scenario,
+    protocol_evaluator,
+    ray_grid,
     six_state_boundary,
     six_state_df_boundary,
     validate_gains,
 )
 from twrc.achievable import _df_point
 from twrc.lp import STACK_CHUNK
-from conftest import random_gains
+from conftest import random_gains, wide_channels
 
 # closed form C(1)C(2)/(2C(1) + C(2)) for unit gains at k = 1
 MABC_UNIT_SYMMETRIC = 0.4421141086977403
@@ -151,6 +155,17 @@ class TestSixStateDf:
         corner = _df_point(1.0, case_a, 1.0, 1.0)
         assert best.rb >= corner.rb - 1e-12
 
+    def test_near_tied_splits_keep_the_lowest_grid_index(self, case_c):
+        # case-c at theta = 74.67 deg (ray 25 of a 31-ray sweep): the nine
+        # grid-3 splits reach the same rate to within a few ulps, so the
+        # winner must not depend on round-off
+        theta, k = ray_grid(31)[26]
+        assert round(theta, 2) == 74.67
+        rates = [_df_point(k, case_c, a1, a2).ra for a1 in (0.0, 0.5, 1.0) for a2 in (0.0, 0.5, 1.0)]
+        assert max(rates) - min(rates) <= 1e-12 * max(rates)
+        p = six_state_df_boundary(k, case_c, alpha_grid=3, refine=False)
+        assert (p.power_split.alpha1, p.power_split.alpha2) == (0.0, 0.0)
+
     def test_refinement_never_hurts(self, case_a):
         coarse = six_state_df_boundary(1.0, case_a, alpha_grid=5, refine=False)
         refined = six_state_df_boundary(1.0, case_a, alpha_grid=5, refine=True)
@@ -159,28 +174,29 @@ class TestSixStateDf:
 
 def df_point_by_point(k, gains, alpha_grid=33, refine=True):
     """The DF grid search one LP at a time, in grid order (the stacked
-    search must reproduce it exactly)."""
+    search must reproduce it exactly).  Each stage keeps the first point whose
+    rate is within 1e-12 relative of the stage's largest; the refinement
+    replaces it only with a rate larger by more than that."""
     if gains.gamma3 == 0.0:
         return _df_point(k, gains, 1.0, 1.0)
-    use_ra = isinstance(k, float) and math.isinf(k)
-    best, best_obj = None, -1.0
 
-    def walk(axis1, axis2):
-        nonlocal best, best_obj
-        for a1 in axis1:
-            for a2 in axis2:
-                p = _df_point(k, gains, float(a1), float(a2))
-                obj = p.ra if use_ra else p.rb
-                if obj > best_obj:
-                    best, best_obj = p, obj
+    def rate(p):  # the rate the ray-tied program maximizes
+        return p.rb if k <= 1.0 else p.ra
+
+    def stage(axis1, axis2):
+        points = [_df_point(k, gains, float(a1), float(a2)) for a1 in axis1 for a2 in axis2]
+        top = max(rate(p) for p in points)
+        return next(p for p in points if top - rate(p) <= 1e-12 * top)
 
     axis = np.linspace(0.0, 1.0, alpha_grid)
-    walk(axis, axis)
+    best = stage(axis, axis)
     if refine:
         radius = 1.0 / (alpha_grid - 1)
         b1, b2 = best.power_split.alpha1, best.power_split.alpha2
-        walk(np.linspace(max(0.0, b1 - radius), min(1.0, b1 + radius), 9),
-             np.linspace(max(0.0, b2 - radius), min(1.0, b2 + radius), 9))
+        fine = stage(np.linspace(max(0.0, b1 - radius), min(1.0, b1 + radius), 9),
+                     np.linspace(max(0.0, b2 - radius), min(1.0, b2 + radius), 9))
+        if rate(fine) - rate(best) > 1e-12 * rate(best):
+            best = fine
     return best
 
 
@@ -285,6 +301,31 @@ class TestCrossProtocolProperties:
         bigger = validate_gains(5.0, 15.0, 1.0)
         for fn in (mabc_boundary, hbc_boundary, six_state_boundary):
             assert fn(1.0, bigger).rb >= fn(1.0, g).rb - 1e-9
+
+    def test_every_point_lies_exactly_on_its_ray(self):
+        # Ra = k*Rb for k <= 1 and Rb = Ra/k for k > 1, bit for bit, for every
+        # LP-backed id over the whole SNR range (DF, the costly one, without
+        # refinement on three channels in ten: gamma3 = 0, regular, 1e-12*gamma1)
+        ids = ("outer", "mabc", "tdbc", "hbc", "six-state", "comabc")
+        returned = raised = 0
+        for i, g in enumerate(wide_channels(np.random.default_rng(2026), 200)):
+            evaluators = [(name, protocol_evaluator(name, g)) for name in ids]
+            if i % 10 in (0, 2, 5):
+                evaluators.append(("six-state-df", lambda k, g=g: six_state_df_boundary(
+                    k, g, alpha_grid=3, refine=False)))
+            for name, evaluate in evaluators:
+                for k in (0.0, 0.3, 1.0, 2.5, 1e6, math.inf):
+                    try:
+                        p = evaluate(k)
+                    except (SolverError, ValidationError):
+                        raised += 1  # numerical breakdown: no point to check
+                        continue
+                    returned += 1
+                    if k <= 1.0:
+                        assert p.ra == k * p.rb, (name, i, k)
+                    else:
+                        assert p.rb == p.ra / k, (name, i, k)
+        assert raised <= 0.01 * (returned + raised)
 
     def test_ra_axis_mode(self, case_a):
         for fn in (mabc_boundary, hbc_boundary, six_state_boundary, comabc_boundary):

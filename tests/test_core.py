@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,6 +14,7 @@ from twrc import (
     link_capacities,
     validate_gains,
 )
+from twrc.core import ray_rates, tie_ray
 
 snr = st.floats(min_value=0.0, max_value=1e12, allow_nan=False)
 
@@ -131,3 +133,31 @@ def test_time_shares_clamps_lp_roundoff():
 def test_channel_gains_validates_on_construction():
     with pytest.raises(ValidationError):
         ChannelGains(2.0, 1.0, 0.5)
+
+
+def test_tie_ray_merges_the_rate_columns_into_the_larger_rate():
+    A = np.array([[1.0, 0.0, -2.0], [0.0, 1.0, -3.0], [1.0, 1.0, -4.0]])
+    assert tie_ray(A, 0.0).tolist() == [[0.0, -2.0], [1.0, -3.0], [1.0, -4.0]]
+    assert tie_ray(A, 0.5).tolist() == [[0.5, -2.0], [1.0, -3.0], [1.5, -4.0]]
+    assert tie_ray(A, 4.0).tolist() == [[1.0, -2.0], [0.25, -3.0], [1.25, -4.0]]
+    assert tie_ray(A, math.inf).tolist() == [[1.0, -2.0], [0.0, -3.0], [1.0, -4.0]]
+    stack = np.stack([A, 2.0 * A])
+    for k in (0.3, 7.0):
+        tied = tie_ray(stack, k)
+        assert tied.shape == (2, 3, 2)
+        assert tied.tobytes() == np.stack([tie_ray(A, k), tie_ray(2.0 * A, k)]).tobytes()
+
+
+@pytest.mark.parametrize("bad", [-1.0, -math.inf, math.nan])
+def test_tie_ray_rejects_bad_ray_ratios(bad):
+    with pytest.raises(ValidationError):
+        tie_ray(np.eye(3), bad)
+
+
+def test_ray_rates_lie_on_the_ray():
+    assert ray_rates(2.0, 0.0) == (0.0, 2.0)
+    assert ray_rates(2.0, 0.25) == (0.5, 2.0)
+    assert ray_rates(2.0, 1.0) == (2.0, 2.0)
+    assert ray_rates(2.0, 8.0) == (2.0, 0.25)
+    assert ray_rates(2.0, math.inf) == (2.0, 0.0)
+    assert all(type(v) is float for v in ray_rates(np.float64(3.0), 0.5))
