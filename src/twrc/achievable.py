@@ -66,14 +66,14 @@ def _protocol_point(matrix: np.ndarray, relations, rhs, k: float,
                     states: tuple[int, ...]) -> BoundaryPoint:
     """Solve a protocol system on the ray; its columns 2.. are the time shares
     of ``states``, and every other state gets share 0."""
-    x = _ray_optimum(solve_lp(_ray_lp(matrix, relations, rhs, k)))
+    x = lp_optimum(solve_lp(ray_lp(matrix, relations, rhs, k)))
     lam = [0.0] * 6
     for state, share in zip(states, x[1:]):
         lam[state - 1] = share
-    return BoundaryPoint(*ray_rates(x[0], k), TimeShares.from_sequence(lam))
+    return BoundaryPoint(*ray_rates(x[0], k), lp_shares(lam))
 
 
-def _ray_lp(matrix: np.ndarray, relations, rhs, k: float) -> LinearProgram:
+def ray_lp(matrix: np.ndarray, relations, rhs, k: float) -> LinearProgram:
     """The ray-tied program of a system whose columns 0 and 1 are Ra and Rb:
     ``tie_ray`` merges them into column 0, the rate that is maximized."""
     tied = tie_ray(matrix, k)
@@ -82,13 +82,22 @@ def _ray_lp(matrix: np.ndarray, relations, rhs, k: float) -> LinearProgram:
     return LinearProgram(objective=obj, matrix=tied, relations=relations, rhs=rhs)
 
 
-def _ray_optimum(sol: LpSolution | SolverError) -> np.ndarray:
-    """The optimal point of a ray program's solution, or the failure it records."""
+def lp_optimum(sol: LpSolution | SolverError) -> np.ndarray:
+    """The optimal point of an LP solution, or the failure it records."""
     if isinstance(sol, SolverError):
         raise sol
     if not sol.is_optimal:
-        raise SolverError(f"protocol LP unexpectedly {sol.status}")
+        raise SolverError(f"rate LP unexpectedly {sol.status}")
     return sol.x
+
+
+def lp_shares(values) -> TimeShares:
+    """The time shares of an LP solution; shares ``TimeShares`` rejects are
+    simplex round-off, not bad input, so they raise ``SolverError``."""
+    try:
+        return TimeShares.from_sequence(values)
+    except ValidationError as exc:
+        raise SolverError(f"LP solution has invalid time shares: {exc}") from exc
 
 
 def mabc_boundary(k: float, gains: ChannelGains) -> BoundaryPoint:
@@ -266,8 +275,8 @@ def _df_split_caps(gains: ChannelGains, alpha1: float, alpha2: float):
 
 def _df_point(k: float, gains: ChannelGains, alpha1: float, alpha2: float) -> BoundaryPoint:
     A, rel, rhs = _df_matrix(gains, alpha1, alpha2)
-    x = _ray_optimum(solve_lp(_ray_lp(A, rel, rhs, k)))
-    return _df_boundary_point(k, x, TimeShares.from_sequence(x[1:7]), alpha1, alpha2)
+    x = lp_optimum(solve_lp(ray_lp(A, rel, rhs, k)))
+    return _df_boundary_point(k, x, lp_shares(x[1:7]), alpha1, alpha2)
 
 
 def _df_boundary_point(k: float, x: np.ndarray, shares: TimeShares,
@@ -297,7 +306,7 @@ def six_state_df_boundary(k: float, gains: ChannelGains, alpha_grid: int = 33,
 
     axis = np.linspace(0.0, 1.0, alpha_grid)
     A, rel, rhs = _df_matrix(gains, 0.0, 0.0)  # the split entries are set per point
-    template = _ray_lp(A, rel, rhs, k)
+    template = ray_lp(A, rel, rhs, k)
     best = _df_best(template, gains, axis, axis)
 
     if refine:
@@ -327,7 +336,7 @@ def _df_best(template: LinearProgram, gains: ChannelGains, axis1, axis2):
         mats[:, rows, cols] = [[-v for v in _df_split_caps(gains, a1, a2)]
                                for a1, a2 in chunk]
         for (a1, a2), sol in zip(chunk, solve_lp_stack(template, mats)):
-            x = _ray_optimum(sol)
-            points.append((x, TimeShares.from_sequence(x[1:7]), a1, a2))
+            x = lp_optimum(sol)
+            points.append((x, lp_shares(x[1:7]), a1, a2))
     top = max(p[0][0] for p in points)
     return next(p for p in points if top - p[0][0] <= _DF_TIE_RTOL * top)

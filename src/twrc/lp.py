@@ -3,9 +3,10 @@
 Sized for the small programs (a few dozen variables) generated by the
 rate-region computations.  Determinism, vertex (basic) solutions and explicit
 dual multipliers matter more here than speed, so the solver is a plain
-tableau simplex: Bland's lowest-index entering rule, a stability-biased
-ratio test (largest pivot among minimal ratios, ties on the lowest basic
-index), and a hard pivot budget against cycling.  Each variable is
+tableau simplex: Bland's lowest-index entering rule, Harris's two-pass ratio
+test (the largest pivot among the rows whose step leaves no basic variable
+more than ``_HARRIS_TOL`` below zero, ties on the lowest basic index), and a
+hard pivot budget against cycling.  Each variable is
 non-negative, non-positive or free (no box bounds), so the rewrite to
 non-negative variables only negates and splits columns and every program
 keeps its own rhs.
@@ -30,6 +31,7 @@ from .core import ValidationError
 FEASIBILITY_TOL = 1e-9
 PIVOT_TOL = 1e-12
 _RATIO_ELIG_TOL = 1e-9  # pivots smaller than this amplify round-off too much
+_HARRIS_TOL = 1e-12  # how far below zero a ratio-test step may push a basic variable
 _COST_TOL = 1e-10
 _MAX_PIVOTS = 20_000
 STACK_CHUNK = 256  # programs per lockstep tableau in solve_lp_stack
@@ -381,10 +383,10 @@ def _simplex(table: np.ndarray, basis: np.ndarray, cost: np.ndarray, allowed: np
                 raise SolverError("only near-singular pivots available")
             return "unbounded"
         ratios = table[rows, -1] / col[rows]
-        rmin = float(ratios.min())
-        ties = rows[ratios <= rmin + 1e-7 * (1.0 + abs(rmin))]
-        # stability first: the largest pivot among (near-)minimal ratios;
-        # deterministic tie-break on the basic-variable index
+        step = float(((table[rows, -1] + _HARRIS_TOL) / col[rows]).min())
+        ties = rows[ratios <= step]
+        # stability first: the largest pivot among the rows a step of at most
+        # ``step`` may take; deterministic tie-break on the basic-variable index
         piv_mag = col[ties]
         big = ties[piv_mag >= piv_mag.max() * (1.0 - 1e-9)]
         i = int(big[np.argmin(basis[big])])
@@ -470,8 +472,8 @@ def _simplex_stack(table: np.ndarray, basis: np.ndarray, cost: np.ndarray,
 
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = np.where(elig, T[:, :, -1] / col, _INF)
-        rmin = ratios.min(axis=1)
-        ties = elig & (ratios <= (rmin + 1e-7 * (1.0 + np.abs(rmin)))[:, None])
+            step = np.where(elig, (T[:, :, -1] + _HARRIS_TOL) / col, _INF).min(axis=1)
+        ties = elig & (ratios <= step[:, None])
         mag = np.where(ties, col, -_INF).max(axis=1)
         big = ties & (col >= (mag * (1.0 - 1e-9))[:, None])
         i = np.where(big, bas, ncols).argmin(axis=1)

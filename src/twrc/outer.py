@@ -14,6 +14,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .achievable import lp_optimum, lp_shares, ray_lp
 from .core import (
     ACTIVE_STATE_TOL,
     ChannelGains,
@@ -23,7 +24,6 @@ from .core import (
     cap,
     link_capacities,
     ray_rates,
-    tie_ray,
 )
 from .lp import LinearProgram, SolverError, solve_lp
 
@@ -157,31 +157,18 @@ def weighted_bound_lp(wa: float, wb: float, gains: ChannelGains) -> LinearProgra
 def outer_ratio_bound(k: float, gains: ChannelGains) -> OuterPoint:
     """The outer-bound point on the ray Ra = k*Rb (k = inf: the Ra axis), from the
     cut-set system with the ray substituted (``tie_ray``)."""
-    obj = np.zeros(7)
-    obj[0] = 1.0
-    sol = solve_lp(LinearProgram(objective=obj, matrix=tie_ray(_cut_set_matrix(gains), k),
-                                 relations=("<=",) * 5, rhs=_CUT_SET_RHS))
-    _require_optimal(sol)
-    shares = TimeShares.from_sequence(sol.x[1:7])
-    ra, rb = ray_rates(sol.x[0], k)
+    x = lp_optimum(solve_lp(ray_lp(_cut_set_matrix(gains), ("<=",) * 5, _CUT_SET_RHS, k)))
+    shares = lp_shares(x[1:7])
+    ra, rb = ray_rates(x[0], k)
     return OuterPoint(float(k), ra, rb, shares, shares.active_states(ACTIVE_STATE_TOL))
 
 
 def outer_weighted_bound(wa: float, wb: float, gains: ChannelGains) -> WeightedBound:
     """Largest wa*Ra + wb*Rb compatible with the cut-set constraints."""
     sol = solve_lp(weighted_bound_lp(wa, wb, gains))
-    _require_optimal(sol)
-    return WeightedBound(
-        value=float(sol.value),
-        ra=float(sol.x[0]),
-        rb=float(sol.x[1]),
-        shares=TimeShares.from_sequence(sol.x[2:8]),
-    )
-
-
-def _require_optimal(sol) -> None:
-    if not sol.is_optimal:
-        raise SolverError(f"cut-set LP unexpectedly {sol.status}")
+    x = lp_optimum(sol)
+    return WeightedBound(value=float(sol.value), ra=float(x[0]), rb=float(x[1]),
+                         shares=lp_shares(x[2:8]))
 
 
 def _rb_bound_terms(k: float, caps: LinkCaps) -> tuple[float, float, float, float]:

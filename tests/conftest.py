@@ -62,6 +62,43 @@ def wide_channels(rng, n):
     return out
 
 
+def band_channels(rng, lo_db, hi_db, n):
+    """n valid gain triples with gamma2 in lo_db..hi_db dB, gamma1 up to
+    20 dB below it and gamma3 up to 30 dB below gamma1."""
+    out = []
+    for _ in range(n):
+        g2_db = rng.uniform(lo_db, hi_db)
+        g1_db = g2_db - rng.uniform(0.0, 20.0)
+        g3_db = g1_db - rng.uniform(0.0, 30.0)
+        out.append(validate_gains(*(db_to_linear(x) for x in (g1_db, g2_db, g3_db))))
+    return out
+
+
+def highs_ray_rate(matrix, relations, rhs, k):
+    """HiGHS optimum of Rb on the finite ray Ra = k*Rb over a system whose
+    columns are (Ra, Rb, time shares...).  The share coefficients of the
+    rows that hold a rate are divided by the largest of them, so HiGHS's
+    absolute tolerances act relatively; the ray is an equality row.  Returns
+    (Rb, that scale)."""
+    from scipy.optimize import linprog
+
+    A, rhs = np.array(matrix, dtype=float), np.asarray(rhs, dtype=float)
+    rate = (A[:, :2] != 0.0).any(axis=1)
+    scale = float(np.abs(A[rate, 2:]).max()) or 1.0
+    A[rate, 2:] /= scale
+    ub = np.array([r == "<=" for r in relations])
+    tie = np.zeros(A.shape[1])
+    tie[0], tie[1] = 1.0 / max(1.0, k), -k / max(1.0, k)
+    obj = np.zeros(A.shape[1])
+    obj[1] = -1.0
+    res = linprog(obj, A_ub=A[ub], b_ub=rhs[ub], A_eq=np.vstack([A[~ub], tie]),
+                  b_eq=np.append(rhs[~ub], 0.0), bounds=(0, None), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10, "presolve": False})
+    assert res.status == 0, res.message
+    return -res.fun * scale, scale
+
+
 def weighted_ray_bound(k, gains):
     """Outer-bound point on the ray Ra = k*Rb from the weighted-sum cut-set
     program, with (Ra, Rb) kept as separate variables and the ray tied by an

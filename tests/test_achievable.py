@@ -23,7 +23,7 @@ from twrc import (
 )
 from twrc.achievable import _df_point
 from twrc.lp import STACK_CHUNK
-from conftest import random_gains, wide_channels
+from conftest import band_channels, highs_ray_rate, random_gains, wide_channels
 
 # closed form C(1)C(2)/(2C(1) + C(2)) for unit gains at k = 1
 MABC_UNIT_SYMMETRIC = 0.4421141086977403
@@ -275,6 +275,52 @@ class TestComabc:
         assert p.shares.active_states() <= {3, 4, 6}
 
 
+def paper_system(name, gains):
+    """The TDBC, HBC or six-state system over (Ra, Rb, lam1..lam6), written
+    out from the protocol definitions: rate rows, unused states, budget."""
+    c = link_capacities(gains)
+    if name == "six-state":
+        cuts = [[1, 0, c.c1, 0, c.c1, 0, c.c3, 0], [1, 0, c.c3, 0, 0, c.c2, c.c23, 0],
+                [0, 1, 0, c.c2, c.c2, 0, 0, c.c3], [0, 1, 0, c.c3, 0, c.c1, 0, c.c13],
+                [1, 1, c.c1, c.c2, c.c12, 0, c.c3, c.c3]]
+        unused = ()
+    else:
+        cuts = [[1, 0, c.c1, 0, c.c1, 0, 0, 0], [1, 0, c.c3, 0, 0, c.c2, 0, 0],
+                [0, 1, 0, c.c2, c.c2, 0, 0, 0], [0, 1, 0, c.c3, 0, c.c1, 0, 0],
+                [1, 1, c.c1, c.c2, c.c12, 0, 0, 0]]
+        unused = (3, 5, 6) if name == "tdbc" else (5, 6)
+    A = np.array(cuts, dtype=float)
+    A[:, 2:] *= -1.0
+    A = np.vstack([A] + [np.eye(8)[1 + s] for s in unused] + [[0, 0] + [1.0] * 6])
+    rel = ("<=",) * 5 + ("=",) * (len(unused) + 1)
+    return A, rel, np.array([0.0] * (5 + len(unused)) + [1.0])
+
+
+class TestAgainstHighs:
+    # where the ray substitution first went wrong: k = 1e6 across 0..70 dB
+    # and k = 1 across -50..-30 dB, 20 channels per 10-dB band of gamma2
+    @pytest.mark.parametrize("k, lo_db, hi_db", [(1e6, 0, 70), (1.0, -50, -30)])
+    def test_hbc_family_matches_highs(self, k, lo_db, hi_db):
+        rng = np.random.default_rng(7)
+        off = []
+        for band in range(lo_db, hi_db, 10):
+            for g in band_channels(rng, band, band + 10, 20):
+                for name in ("tdbc", "hbc", "six-state"):
+                    A, rel, rhs = paper_system(name, g)
+                    ref, scale = highs_ray_rate(A, rel, rhs, k)
+                    p = protocol_evaluator(name, g)(k)
+                    # each row's residual relative to its size, rates counted in
+                    # units of the largest share coefficient, shares in units of 1
+                    x = np.array([p.ra, p.rb, *p.shares.as_tuple()])
+                    unit = np.array([np.abs(A[:, 2:]).max()] * 2 + [1.0] * 6)
+                    resid = A @ x - rhs
+                    resid[5:] = np.abs(resid[5:])  # the equality rows
+                    if (abs(p.rb - ref) > 1e-6 * max(ref, 1e-9 * scale)
+                            or (resid > 1e-7 * (np.abs(A) @ unit + rhs)).any()):
+                        off.append((name, g, p.rb, ref))
+        assert off == []
+
+
 class TestCrossProtocolProperties:
     def test_safety_under_outer_bound(self):
         rng = np.random.default_rng(77)
@@ -317,7 +363,7 @@ class TestCrossProtocolProperties:
                 for k in (0.0, 0.3, 1.0, 2.5, 1e6, math.inf):
                     try:
                         p = evaluate(k)
-                    except (SolverError, ValidationError):
+                    except SolverError:
                         raised += 1  # numerical breakdown: no point to check
                         continue
                     returned += 1

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from twrc import (
+    SolverError,
     ValidationError,
     analytic_rb_bound,
     analytic_weighted_bound,
@@ -22,12 +23,29 @@ from twrc import (
     validate_gains,
 )
 import twrc.outer
-from conftest import random_gains, weighted_ray_bound, wide_channels
+from conftest import highs_ray_rate, random_gains, weighted_ray_bound, wide_channels
 
 # closed form C(100)/2 for the symmetric case-B ray
 CASE_B_SYMMETRIC = 3.3291057413758973
 # closed form (C(g3) + C((sqrt(g) + sqrt(g3))^2)) / 4 at case B
 CASE_B_MIXED_TERM = 2.5423571145059247
+
+
+# channels of wide_channels(default_rng(2026), 300) on which the simplex
+# breaks down at k = 1e6
+LARGE_K_BREAKDOWNS = (165, 290)
+
+
+def check_large_k_against_highs(g):
+    c = link_capacities(g)
+    A = np.zeros((5, 8))
+    A[:2, 0] = A[2:4, 1] = 1.0
+    A[:4, 2:] = -np.array([[c.c13, 0, c.c1, 0, c.c3, 0], [c.c3, 0, 0, c.c2, c.c23_coh, 0],
+                           [0, c.c23, c.c2, 0, 0, c.c3], [0, c.c3, 0, c.c1, 0, c.c13_coh]])
+    A[4, 2:] = 1.0
+    ref, scale = highs_ray_rate(A, ("<=",) * 5, (0, 0, 0, 0, 1), 1e6)
+    rb = outer_ratio_bound(1e6, g).rb
+    assert abs(rb - ref) <= 1e-6 * max(ref, 1e-9 * scale), (g, rb, ref)
 
 
 class TestRatioBound:
@@ -89,41 +107,16 @@ class TestRatioBound:
                     paper.relations, paper.bounds, paper.sense)
 
     def test_large_k_matches_highs(self):
-        # k = 1e6 over the whole SNR range, against HiGHS on the ray program
-        # with the share coefficients divided by the largest capacity, so its
-        # absolute tolerances act relatively
-        from scipy.optimize import linprog
-
-        opts = {"primal_feasibility_tolerance": 1e-10,
-                "dual_feasibility_tolerance": 1e-10, "presolve": False}
-        k = 1e6
-        off, raised = [], []
+        # k = 1e6 over the whole SNR range, against HiGHS
         for i, g in enumerate(wide_channels(np.random.default_rng(2026), 300)):
-            c = link_capacities(g)
-            cuts = np.array([[c.c13, 0, c.c1, 0, c.c3, 0], [c.c3, 0, 0, c.c2, c.c23_coh, 0],
-                             [0, c.c23, c.c2, 0, 0, c.c3], [0, c.c3, 0, c.c1, 0, c.c13_coh]])
-            scale = float(cuts.max()) or 1.0
-            A = np.zeros((5, 8))
-            A[:2, 0] = A[2:4, 1] = 1.0
-            A[:4, 2:] = -cuts / scale
-            A[4, 2:] = 1.0
-            res = linprog([0, -1.0, 0, 0, 0, 0, 0, 0], A_ub=A, b_ub=[0, 0, 0, 0, 1],
-                          A_eq=[[1.0 / k, -1.0, 0, 0, 0, 0, 0, 0]], b_eq=[0],
-                          bounds=(0, None), method="highs", options=opts)
-            assert res.status == 0, res.message
-            ref = -res.fun * scale
-            try:
-                rb = outer_ratio_bound(k, g).rb
-            except ValidationError:
-                raised.append(i)
-                continue
-            if abs(rb - ref) > 1e-6 * max(ref, 1e-9 * scale):
-                off.append((i, rb, ref))
-        assert off == []
-        # a known simplex breakdown (a degenerate pivot on 3e-9): the shares
-        # sum to 1 + 1e-8 and TimeShares rejects them, on channels 165 and 290
-        # here; counted rather than pinned, as the last bits depend on the BLAS
-        assert len(raised) <= 2, raised
+            if i not in LARGE_K_BREAKDOWNS:
+                check_large_k_against_highs(g)
+
+    @pytest.mark.xfail(raises=SolverError, strict=False,
+                       reason="degenerate pivot on 3e-9 leaves the time shares summing to 1 + 1e-8")
+    @pytest.mark.parametrize("index", LARGE_K_BREAKDOWNS)
+    def test_large_k_breakdown_channels(self, index):
+        check_large_k_against_highs(wide_channels(np.random.default_rng(2026), 300)[index])
 
     def test_monotone_in_each_gain(self):
         rng = np.random.default_rng(9)
