@@ -46,7 +46,7 @@ from .outer import (
     one_way_bound_ab,
     outer_ratio_bound,
 )
-from .region import Region, max_radial_gap, sweep_region, symmetric_rate
+from .region import Region, SweepError, max_radial_gap, sweep_region, symmetric_rate
 
 SCHEMA_VERSION = 1
 
@@ -156,7 +156,11 @@ def load_scenario(path: str | Path) -> Scenario:
     """Parse a flat key = value scenario file (see the module docstring)."""
     path = Path(path)
     fields: dict = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -387,6 +391,15 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
+    except SweepError as exc:
+        # a failing ray exits as its cause would, with the angle in the message
+        if isinstance(exc.__cause__, SolverError):
+            print(f"solver error: {exc}: {exc.__cause__}", file=sys.stderr)
+            return 3
+        if isinstance(exc.__cause__, ValidationError):
+            print(f"error: {exc}: {exc.__cause__}", file=sys.stderr)
+            return 2
+        raise
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4

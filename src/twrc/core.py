@@ -27,7 +27,10 @@ def db_to_linear(snr_db: float) -> float:
     """Convert an SNR from decibels to linear scale: 10^(snr_db / 10)."""
     if not _finite(snr_db):
         raise ValidationError(f"dB value must be finite, got {snr_db!r}")
-    return 10.0 ** (snr_db / 10.0)
+    try:
+        return 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        raise ValidationError(f"dB value {snr_db!r} overflows a float SNR (limit about 3082 dB)") from None
 
 
 def linear_to_db(snr: float) -> float:

@@ -10,6 +10,7 @@ import pytest
 from twrc import (
     PRESETS,
     Scenario,
+    SolverError,
     ValidationError,
     db_to_linear,
     hbc_boundary,
@@ -254,6 +255,41 @@ class TestMainExitCodes:
         rc = main(["outer", "--preset", "case-a", "--theta-points", "5",
                    "--out", str(blocker / "sub")])
         assert rc == 4
+
+    @pytest.mark.parametrize("cause, code, prefix", [
+        (SolverError("time shares sum to 1.000000003, above 1"), 3, "solver error: "),
+        (ValidationError("time shares sum to 1.000000003, above 1"), 2, "error: "),
+    ], ids=["solver-error", "validation-error"])
+    def test_sweep_failure_exits_as_its_cause(self, tmp_path, capsys, monkeypatch,
+                                              cause, code, prefix):
+        def evaluate(k, gains, alpha_grid):
+            if k >= 1.0:
+                raise cause
+            return mabc_boundary(k, gains)
+
+        monkeypatch.setitem(cli._EVALUATORS, "mabc", evaluate)
+        rc = main(["sweep", "--preset", "case-a", "--protocol", "mabc",
+                   "--theta-points", "5", "--out", str(tmp_path)])
+        assert rc == code
+        err = capsys.readouterr().err
+        assert err.startswith(prefix + "evaluator failed at theta = 45.0 deg")
+        assert err.rstrip().endswith(str(cause))
+
+    def test_non_utf8_scenario_is_2(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"name = caf\xe9\ngamma1_db = 10\ngamma2_db = 15\ngamma3_db = 3\n")
+        assert main(["outer", "--scenario", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "latin1.cfg: not UTF-8" in capsys.readouterr().err
+
+    def test_overflowing_db_is_2(self, tmp_path, capsys):
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text("name = big\ngamma1_db = 4000\ngamma2_db = 4000\ngamma3_db = 3\n")
+        assert main(["outer", "--scenario", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "4000.0 overflows" in capsys.readouterr().err
+        out = tmp_path / "th"
+        assert main(["thresholds", "--gamma2-db=4000:4001:1", "--out", str(out)]) == 2
+        assert "4000.0 overflows" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sweep_single_protocol(self, tmp_path, capsys):
         rc = main(["sweep", "--preset", "case-a", "--protocol", "comabc",

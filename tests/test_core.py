@@ -55,6 +55,11 @@ def test_db_rejects_nonfinite():
         db_to_linear(math.inf)
     with pytest.raises(ValidationError):
         linear_to_db(0.0)
+    # a finite dB value whose linear SNR overflows a float
+    assert math.isfinite(db_to_linear(3080.0))
+    for db in (3090.0, 4000.0, 1e300):
+        with pytest.raises(ValidationError, match="overflows"):
+            db_to_linear(db)
 
 
 @given(st.floats(min_value=-300.0, max_value=300.0, allow_nan=False))
