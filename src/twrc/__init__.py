@@ -6,6 +6,8 @@ protocols, region geometry (sweeps, containment, gaps), and the direct-link
 capacity thresholds.
 """
 
+import importlib
+
 from .core import (
     ZERO_SHARES,
     ChannelGains,
@@ -59,15 +61,20 @@ from .region import (
     sweep_region,
     symmetric_rate,
 )
-from .cli import (
-    PRESETS,
-    Scenario,
-    load_scenario,
-    preset_scenario,
-    protocol_evaluator,
-    run_compare,
-    run_thresholds,
-)
+
+# twrc.cli loads on first use: imported here eagerly, it would already be in
+# sys.modules when ``python -m twrc.cli`` runs it, and runpy warns about that.
+_CLI_NAMES = ("PRESETS", "Scenario", "load_scenario", "preset_scenario",
+              "protocol_evaluator", "run_compare", "run_thresholds")
+
+
+def __getattr__(name: str):
+    if name == "cli" or name in _CLI_NAMES:
+        # import_module, not ``from . import cli``: that would re-enter this hook
+        cli = importlib.import_module(".cli", __name__)
+        return cli if name == "cli" else getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ZERO_SHARES", "ChannelGains", "LinkCaps", "TimeShares", "ValidationError",

@@ -224,15 +224,15 @@ def run_compare(scenario: Scenario, auto_swap: bool = True,
     identical inputs.
     """
     gains = scenario.gains(auto_swap=auto_swap)
-    out = Path(out_dir if out_dir is not None else scenario.outputs)
-    out.mkdir(parents=True, exist_ok=True)
-
     names = list(dict.fromkeys(["outer", *scenario.protocols]))
     regions: dict[str, Region] = {}
     for name in names:
         ev = protocol_evaluator(name, gains, scenario.alpha_grid)
         regions[name] = sweep_region(ev, gains, scenario.theta_points)
 
+    # made only once every sweep succeeded, so a failed run leaves no empty directory
+    out = Path(out_dir if out_dir is not None else scenario.outputs)
+    out.mkdir(parents=True, exist_ok=True)
     written = []
     for name in names:
         path = out / f"{scenario.name}_{name}.csv"

@@ -1,9 +1,9 @@
 """Capacity-region outer bounds for the half-duplex two-way relay channel.
 
-Per-ray and weighted-sum cut-set LPs over the six network states, closed-form
-bounds certified by fixed dual points, the one-way relaying bound, and the
-direct-link thresholds below which the symmetric-rate bound collapses to the
-relay-only value.
+Per-ray and weighted-sum cut-set LPs over the six network states (one table,
+``_STATE_CUTS``), closed-form bounds that are the LP's dual objective at fixed
+multipliers, the one-way relaying bound, and the direct-link thresholds below
+which the symmetric-rate bound collapses to the relay-only value.
 """
 
 from __future__ import annotations
@@ -91,19 +91,34 @@ class Thresholds:
         return min(self.gamma31, self.gamma32)
 
 
-def _cut_rows(caps: LinkCaps) -> np.ndarray:
-    """Per-state capacity coefficients of the four cut constraints.
+# The cut-set bound: for each of states 1..6, its two (cut row, capacity) entries.
+# Rows 0 and 1 are the a-side broadcast and delivery cuts (on Ra), rows 2 and 3
+# the b-side ones (on Rb).  Both LPs, the dual rows and both closed forms read it.
+_STATE_CUTS = (
+    ((0, "c13"), (1, "c3")),
+    ((2, "c23"), (3, "c3")),
+    ((0, "c1"), (2, "c2")),
+    ((1, "c2"), (3, "c1")),
+    ((0, "c3"), (1, "c23_coh")),
+    ((2, "c3"), (3, "c13_coh")),
+)
 
-    Rows bound, in order: the a-side broadcast cut and a-side delivery cut
-    (both on Ra), then the b-side broadcast and delivery cuts (on Rb).
-    Columns are the six state shares.
-    """
-    return np.array([
-        [caps.c13, 0.0, caps.c1, 0.0, caps.c3, 0.0],
-        [caps.c3, 0.0, 0.0, caps.c2, caps.c23_coh, 0.0],
-        [0.0, caps.c23, caps.c2, 0.0, 0.0, caps.c3],
-        [0.0, caps.c3, 0.0, caps.c1, 0.0, caps.c13_coh],
-    ])
+
+def _cut_rows(caps: LinkCaps) -> np.ndarray:
+    """Per-state capacity coefficients of the four cut constraints: one row per
+    cut, one column per state share (``_STATE_CUTS``)."""
+    rows = np.zeros((4, 6))
+    for state, cuts in enumerate(_STATE_CUTS):
+        for row, name in cuts:
+            rows[row, state] = getattr(caps, name)
+    return rows
+
+
+def _state_rows(caps: LinkCaps, y) -> tuple[float, ...]:
+    """The six state rows of the dual program at cut multipliers y = (y1..y4):
+    the rate state i carries under y, which the budget multiplier y5 must cover."""
+    return tuple(y[i] * getattr(caps, a) + y[j] * getattr(caps, b)
+                 for (i, a), (j, b) in _STATE_CUTS)
 
 
 _CUT_SET_RHS = (0.0, 0.0, 0.0, 0.0, 1.0)
@@ -123,22 +138,14 @@ def _cut_set_matrix(gains: ChannelGains) -> np.ndarray:
 def ratio_bound_lp(k: float, gains: ChannelGains) -> LinearProgram:
     """The per-ray program: maximize Rb over (Rb, lam1..lam6) with Ra = k*Rb inlined.
 
-    Rows are the four cut constraints followed by the time-share budget.
+    It is ``_cut_set_matrix`` with k times the Ra column added into the Rb column.
     """
     if not (math.isfinite(k) and k >= 0.0):
         raise ValidationError(f"ray ratio k must be finite and >= 0, got {k!r}")
-    cuts = _cut_rows(link_capacities(gains))
-    rate_coef = np.array([k, k, 1.0, 1.0])
-    A = np.zeros((5, 7))
-    A[:4, 0] = rate_coef
-    A[:4, 1:] = -cuts
-    A[4, 1:] = 1.0
-    return LinearProgram(
-        objective=np.array([1.0, 0, 0, 0, 0, 0, 0]),
-        matrix=A,
-        relations=("<=",) * 5,
-        rhs=np.array([0.0, 0.0, 0.0, 0.0, 1.0]),
-    )
+    A = _cut_set_matrix(gains)
+    A[:, 1] += k * A[:, 0]
+    return LinearProgram(objective=np.array([1.0, 0, 0, 0, 0, 0, 0]), matrix=A[:, 1:],
+                         relations=("<=",) * 5, rhs=_CUT_SET_RHS)
 
 
 def weighted_bound_lp(wa: float, wb: float, gains: ChannelGains) -> LinearProgram:
@@ -171,68 +178,43 @@ def outer_weighted_bound(wa: float, wb: float, gains: ChannelGains) -> WeightedB
                          shares=lp_shares(x[2:8]))
 
 
-def _rb_bound_terms(k: float, caps: LinkCaps) -> tuple[float, float, float, float]:
-    """Candidate closed-form ceilings for Rb on the ray Ra = k*Rb, k >= 1.
-
-    Each term is the value of one dual constraint row at the fixed dual point
-    used by ``rb_dual_point``; their maximum upper-bounds the per-ray LP.
-    """
+def _rb_multipliers(k: float, caps: LinkCaps) -> tuple[float, float, float, float]:
+    """The fixed cut multipliers (y1..y4) behind ``analytic_rb_bound`` for k >= 1;
+    they lie on the normalization plane k*(y1 + y2) + y3 + y4 = 1."""
     s = caps.c1 + caps.c2
     if s <= 0.0:
-        return (0.0, 0.0, 0.0, 0.0)
-    t1 = (3.0 * k - 1.0) / (2.0 * k * k) * caps.c1 * caps.c2 / s
-    t2 = (2.0 * k - 1.0) / (2.0 * k * k) * (caps.c2 * caps.c13 + caps.c1 * caps.c3) / s
-    t3 = (2.0 * k - 1.0) / (2.0 * k * k) * (caps.c2 * caps.c3 + caps.c1 * caps.c23_coh) / s
-    t4 = 1.0 / (2.0 * k) * (caps.c1 * caps.c3 + caps.c2 * caps.c13_coh) / s
-    return (t1, t2, t3, t4)
+        # degenerate channel: any normalized multipliers certify Rb = 0
+        return (0.5 / k, 0.5 / k, 0.5, 0.5)
+    u, v = (2.0 * k - 1.0) / (2.0 * k * k), 1.0 / (2.0 * k)
+    return (u * caps.c2 / s, u * caps.c1 / s, v * caps.c1 / s, v * caps.c2 / s)
 
 
 def analytic_rb_bound(k: float, gains: ChannelGains) -> float:
     """Closed-form upper bound on Rb for Ra = k*Rb, valid for any k > 0.
 
-    For k >= 1 it is the maximum of the four dual-certified terms; for k < 1
-    the same construction is applied to the mirrored problem (terminals
-    relabeled, ratio 1/k) and mapped back through Rb = Ra / k.
+    For k >= 1 it is the dual objective of the per-ray cut-set program at the
+    fixed multipliers ``_rb_multipliers``: the largest of the six state rows,
+    so it equals ``rb_dual_point(k, gains).y5``.  For k < 1 the same
+    construction is applied to the mirrored problem (terminals relabeled,
+    ratio 1/k) and mapped back through Rb = Ra / k.
     """
     if not (math.isfinite(k) and k > 0.0):
         raise ValidationError(f"ray ratio k must be finite and > 0, got {k!r}")
     caps = link_capacities(gains)
     if k >= 1.0:
-        t1, t2, t3, t4 = _rb_bound_terms(k, caps)
-        if k == 1.0:
-            assert t2 <= t4 + 1e-12, "k=1 dominance of the delivery-cut term failed"
-        return max(t1, t2, t3, t4)
-    mirrored = max(_rb_bound_terms(1.0 / k, caps.swapped()))
-    return mirrored / k
+        return max(_state_rows(caps, _rb_multipliers(k, caps)))
+    mirrored = caps.swapped()
+    return max(_state_rows(mirrored, _rb_multipliers(1.0 / k, mirrored))) / k
 
 
 def rb_dual_point(k: float, gains: ChannelGains) -> DualPoint:
-    """The fixed dual-feasible point behind ``analytic_rb_bound`` for k >= 1."""
+    """The fixed dual-feasible point behind ``analytic_rb_bound`` for k >= 1:
+    the multipliers ``_rb_multipliers`` and y5 = the largest state row."""
     if not (math.isfinite(k) and k >= 1.0):
         raise ValidationError(f"the dual point is defined for k >= 1, got {k!r}")
     caps = link_capacities(gains)
-    s = caps.c1 + caps.c2
-    if s <= 0.0:
-        # degenerate channel: any normalized multipliers certify Rb = 0
-        return DualPoint(0.5 / k, 0.5 / k, 0.5, 0.5, 0.0)
-    y1 = (2.0 * k - 1.0) / (2.0 * k * k) * caps.c2 / s
-    y2 = (2.0 * k - 1.0) / (2.0 * k * k) * caps.c1 / s
-    y3 = 1.0 / (2.0 * k) * caps.c1 / s
-    y4 = 1.0 / (2.0 * k) * caps.c2 / s
-    y5 = max(_dual_row_values(caps, y1, y2, y3, y4))
-    return DualPoint(y1, y2, y3, y4, y5)
-
-
-def _dual_row_values(caps: LinkCaps, y1: float, y2: float, y3: float, y4: float):
-    """Right-hand sides of the six state rows of the dual program."""
-    return (
-        y1 * caps.c13 + y2 * caps.c3,
-        y3 * caps.c23 + y4 * caps.c3,
-        y1 * caps.c1 + y3 * caps.c2,
-        y2 * caps.c2 + y4 * caps.c1,
-        y1 * caps.c3 + y2 * caps.c23_coh,
-        y3 * caps.c3 + y4 * caps.c13_coh,
-    )
+    y = _rb_multipliers(k, caps)
+    return DualPoint(*y, max(_state_rows(caps, y)))
 
 
 def dual_point_feasible(k: float, gains: ChannelGains) -> tuple[bool, float]:
@@ -242,8 +224,7 @@ def dual_point_feasible(k: float, gains: ChannelGains) -> tuple[bool, float]:
     the normalization row k*(y1+y2) + y3 + y4 >= 1 must hold.
     """
     p = rb_dual_point(k, gains)
-    caps = link_capacities(gains)
-    rows = _dual_row_values(caps, p.y1, p.y2, p.y3, p.y4)
+    rows = _state_rows(link_capacities(gains), (p.y1, p.y2, p.y3, p.y4))
     slacks = [p.y5 - r for r in rows]
     slacks.append(k * (p.y1 + p.y2) + p.y3 + p.y4 - 1.0)
     min_slack = min(slacks)
@@ -282,9 +263,9 @@ def one_way_bound_ab(gains: ChannelGains) -> float:
 def analytic_weighted_bound(k: float, gains: ChannelGains) -> float:
     """Closed-form upper bound on k*Ra + Rb, valid for any k >= 0.
 
-    The four terms evaluate the dual constraint rows at a fixed dual point
-    built from the two one-way balances; their maximum dominates the weighted
-    LP for every weight k.
+    It is the dual objective of the weighted cut-set program (weights k, 1) at
+    fixed cut multipliers built from the two one-way balances, which meet the
+    rate rows y1 + y2 = k and y3 + y4 = 1: the largest of the six state rows.
     """
     if not (math.isfinite(k) and k >= 0.0):
         raise ValidationError(f"weight k must be finite and >= 0, got {k!r}")
@@ -293,13 +274,9 @@ def analytic_weighted_bound(k: float, gains: ChannelGains) -> float:
     den_b = caps.c23 + caps.c13_coh - 2.0 * caps.c3
     if den_a <= 0.0 or den_b <= 0.0:
         return 0.0
-    t1 = k * (caps.c13 * caps.c23_coh - caps.c3 ** 2) / den_a
-    t2 = (caps.c23 * caps.c13_coh - caps.c3 ** 2) / den_b
-    t3 = (k * caps.c1 * (caps.c23_coh - caps.c3) / den_a
-          + caps.c2 * (caps.c13_coh - caps.c3) / den_b)
-    t4 = (k * caps.c2 * (caps.c13 - caps.c3) / den_a
-          + caps.c1 * (caps.c23 - caps.c3) / den_b)
-    return max(t1, t2, t3, t4)
+    y = (k * (caps.c23_coh - caps.c3) / den_a, k * (caps.c13 - caps.c3) / den_a,
+         (caps.c13_coh - caps.c3) / den_b, (caps.c23 - caps.c3) / den_b)
+    return max(_state_rows(caps, y))
 
 
 def capacity_thresholds(gains: ChannelGains) -> Thresholds:

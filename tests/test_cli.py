@@ -268,12 +268,14 @@ class TestMainExitCodes:
             return mabc_boundary(k, gains)
 
         monkeypatch.setitem(cli._EVALUATORS, "mabc", evaluate)
+        out = tmp_path / "out"
         rc = main(["sweep", "--preset", "case-a", "--protocol", "mabc",
-                   "--theta-points", "5", "--out", str(tmp_path)])
+                   "--theta-points", "5", "--out", str(out)])
         assert rc == code
         err = capsys.readouterr().err
         assert err.startswith(prefix + "evaluator failed at theta = 45.0 deg")
         assert err.rstrip().endswith(str(cause))
+        assert not out.exists()
 
     def test_non_utf8_scenario_is_2(self, tmp_path, capsys):
         cfg = tmp_path / "latin1.cfg"
@@ -419,7 +421,9 @@ def test_python_dash_m_twrc_help():
     import twrc
 
     env = dict(os.environ, PYTHONPATH=str(Path(twrc.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "twrc", "--help"], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert "usage: twrc" in proc.stdout
+    # twrc.cli must not be imported before runpy runs it, or runpy warns
+    for module in ("twrc", "twrc.cli"):
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", module, "--help"],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, (module, proc.stderr)
+        assert "usage: twrc" in proc.stdout

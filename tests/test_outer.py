@@ -21,6 +21,7 @@ from twrc import (
     rb_dual_point,
     solve_lp,
     validate_gains,
+    weighted_bound_lp,
 )
 import twrc.outer
 from conftest import highs_ray_rate, random_gains, weighted_ray_bound, wide_channels
@@ -181,6 +182,14 @@ class TestAnalyticRbBound:
             for k in (0.25, 0.5, 1.0, 2.0, 4.0):
                 assert analytic_rb_bound(k, g) >= outer_ratio_bound(k, g).rb - 1e-9
 
+    def test_k1_delivery_cut_term_dominates(self):
+        # at k = 1 state 6's row (b-side delivery cut) is at least state 1's
+        # (a-side broadcast cut), in both terminal orientations
+        for g in wide_channels(np.random.default_rng(5), 2000):
+            for caps in (link_capacities(g), link_capacities(g).swapped()):
+                rows = twrc.outer._state_rows(caps, twrc.outer._rb_multipliers(1.0, caps))
+                assert rows[0] <= rows[5] + 1e-12, (g, rows)
+
     def test_small_k_mirror_consistency(self):
         g = validate_gains(40.0, 40.0, 2.0)
         for k in (0.2, 0.5):
@@ -205,10 +214,11 @@ class TestDualPoint:
         assert p.y1 + p.y2 + p.y3 + p.y4 == pytest.approx(1.0, abs=1e-12)
 
     def test_objective_matches_analytic_bound(self, case_a, case_c):
-        for g in (case_a, case_c):
-            for k in (1.0, 1.7, 3.0):
-                assert rb_dual_point(k, g).y5 == pytest.approx(
-                    analytic_rb_bound(k, g), abs=1e-12)
+        # the bound is its own certificate's objective, bit for bit
+        rng = np.random.default_rng(29)
+        for g in [case_a, case_c] + wide_channels(rng, 5000):
+            for k in (1.0, 1.7, float(10.0 ** rng.uniform(0.0, 3.0))):
+                assert rb_dual_point(k, g).y5 == analytic_rb_bound(k, g), (g, k)
 
     def test_rejects_k_below_one(self, case_a):
         with pytest.raises(ValidationError):
@@ -293,6 +303,23 @@ class TestAnalyticWeightedBound:
         for g in (case_a, case_c):
             assert analytic_weighted_bound(0.0, g) == pytest.approx(
                 one_way_bound(g), abs=1e-12)
+
+    def test_bound_is_the_dual_objective_at_its_multipliers(self, case_a, case_b, low_snr):
+        # y1..y4 from the two one-way balances, y5 = the bound: a feasible point
+        # of the weighted program's dual whose objective is the bound
+        for g in [case_a, case_b, low_snr] + wide_channels(np.random.default_rng(37), 300):
+            c = link_capacities(g)
+            den_a = c.c13 + c.c23_coh - 2.0 * c.c3
+            den_b = c.c23 + c.c13_coh - 2.0 * c.c3
+            for k in (0.0, 0.3, 1.0, 2.5, 1e3):
+                bound = analytic_weighted_bound(k, g)
+                y = np.array([k * (c.c23_coh - c.c3) / den_a, k * (c.c13 - c.c3) / den_a,
+                              (c.c13_coh - c.c3) / den_b, (c.c23 - c.c3) / den_b, bound])
+                d = dual_of(weighted_bound_lp(k, 1.0, g))
+                assert all(r == ">=" for r in d.relations) and np.all(y >= 0.0)
+                tol = 1e-12 * max(1.0, k) * max(1.0, c.c13_coh, c.c23_coh)
+                assert np.all(d.matrix @ y >= d.rhs - tol), (g, k, d.matrix @ y - d.rhs)
+                assert d.objective @ y == bound
 
     def test_weak_duality_vs_weighted_lp(self, case_a, case_b, low_snr):
         rng = np.random.default_rng(31)
