@@ -212,7 +212,8 @@ def _df_matrix(gains: ChannelGains, alpha1: float, alpha2: float):
     caps, the two relay conservation equalities, and the time budget.
     """
     caps = link_capacities(gains)
-    bc1_relay, bc1_direct, bc2_relay, bc2_direct = _df_split_caps(gains, alpha1, alpha2)
+    bc1_relay, bc1_direct = _df_split_caps(gains.gamma1, gains.gamma3, alpha1)
+    bc2_relay, bc2_direct = _df_split_caps(gains.gamma2, gains.gamma3, alpha2)
 
     col = {name: 8 + i for i, name in enumerate(_DF_FLOWS)}
     n = 8 + len(_DF_FLOWS)
@@ -258,19 +259,16 @@ def _df_matrix(gains: ChannelGains, alpha1: float, alpha2: float):
 
 
 # (row, column) of the entries of the ray-tied _df_matrix system that the
-# power split sets, in _df_split_caps order; each holds minus that capacity
+# power split sets: minus the _df_split_caps pairs of states 1 and 2
 _DF_SPLIT_ENTRIES = ((2, 1), (3, 1), (4, 2), (5, 2))
 # split rates within this relative distance of a grid stage's best are tied
 _DF_TIE_RTOL = 1e-12
 
 
-def _df_split_caps(gains: ChannelGains, alpha1: float, alpha2: float):
-    """Relay-bound and direct-link capacities of broadcast states 1 and 2."""
-    g1, g2, g3 = gains.gamma1, gains.gamma2, gains.gamma3
-    return (cap(alpha1 * g1),
-            cap((1.0 - alpha1) * g3 / (1.0 + alpha1 * g3)),
-            cap(alpha2 * g2),
-            cap((1.0 - alpha2) * g3 / (1.0 + alpha2 * g3)))
+def _df_split_caps(g_relay: float, g3: float, alpha: float) -> tuple[float, float]:
+    """Relay-bound and direct-link capacities of a broadcast state (1 or 2)
+    whose sender puts power share ``alpha`` on the relay-bound message."""
+    return cap(alpha * g_relay), cap((1.0 - alpha) * g3 / (1.0 + alpha * g3))
 
 
 def _df_point(k: float, gains: ChannelGains, alpha1: float, alpha2: float) -> BoundaryPoint:
@@ -327,15 +325,18 @@ def _df_best(template: LinearProgram, gains: ChannelGains, axis1, axis2):
     The first failing point, in grid order, raises what a point-by-point
     solve of the grid would raise.
     """
-    splits = [(float(a1), float(a2)) for a1 in axis1 for a2 in axis2]
+    # state 1's entries depend on alpha1 only and state 2's on alpha2 only
+    g1, g2, g3 = gains.as_tuple()
+    ent1 = [(a, [-c for c in _df_split_caps(g1, g3, a)]) for a in map(float, axis1)]
+    ent2 = [(a, [-c for c in _df_split_caps(g2, g3, a)]) for a in map(float, axis2)]
+    splits = [(a1, a2, e1 + e2) for a1, e1 in ent1 for a2, e2 in ent2]
     rows, cols = zip(*_DF_SPLIT_ENTRIES)
     points = []
     for start in range(0, len(splits), STACK_CHUNK):
         chunk = splits[start:start + STACK_CHUNK]
         mats = np.repeat(template.matrix[None], len(chunk), axis=0)
-        mats[:, rows, cols] = [[-v for v in _df_split_caps(gains, a1, a2)]
-                               for a1, a2 in chunk]
-        for (a1, a2), sol in zip(chunk, solve_lp_stack(template, mats)):
+        mats[:, rows, cols] = [entries for _, _, entries in chunk]
+        for (a1, a2, _), sol in zip(chunk, solve_lp_stack(template, mats)):
             x = lp_optimum(sol)
             points.append((x, lp_shares(x[1:7]), a1, a2))
     top = max(p[0][0] for p in points)

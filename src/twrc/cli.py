@@ -24,6 +24,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -224,6 +225,13 @@ def run_compare(scenario: Scenario, auto_swap: bool = True,
     identical inputs.
     """
     gains = scenario.gains(auto_swap=auto_swap)
+    out = Path(out_dir if out_dir is not None else scenario.outputs)
+    # an unusable --out fails before the sweeps; nothing is made until after them
+    base = out
+    while not base.exists() and base != base.parent:
+        base = base.parent
+    if not (base.is_dir() and os.access(base, os.W_OK | os.X_OK)):
+        raise OSError(f"cannot make {str(out)!r}: {str(base)!r} is not a writable directory")
     names = list(dict.fromkeys(["outer", *scenario.protocols]))
     regions: dict[str, Region] = {}
     for name in names:
@@ -231,7 +239,6 @@ def run_compare(scenario: Scenario, auto_swap: bool = True,
         regions[name] = sweep_region(ev, gains, scenario.theta_points)
 
     # made only once every sweep succeeded, so a failed run leaves no empty directory
-    out = Path(out_dir if out_dir is not None else scenario.outputs)
     out.mkdir(parents=True, exist_ok=True)
     written = []
     for name in names:

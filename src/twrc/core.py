@@ -197,15 +197,16 @@ class TimeShares:
         for i, v in enumerate(self.as_tuple(), start=1):
             if not _finite(v) or v < -_SHARE_TOL or v > 1.0 + _SHARE_TOL:
                 raise ValidationError(f"lambda{i} must lie in [0, 1], got {v!r}")
+            v = max(float(v), 0.0)
+            total += v
             # clamp LP round-off so downstream consumers see clean fractions
-            object.__setattr__(self, f"lambda{i}", min(max(float(v), 0.0), 1.0))
-            total += max(float(v), 0.0)
+            self.__dict__[f"lambda{i}"] = min(v, 1.0)  # the frozen fields, set once
         if total > 1.0 + _SHARE_TOL:
             raise ValidationError(f"time shares sum to {total}, above 1")
 
     @classmethod
     def from_sequence(cls, values) -> "TimeShares":
-        vals = tuple(float(v) for v in values)
+        vals = tuple(map(float, values))
         if len(vals) != 6:
             raise ValidationError(f"expected 6 time shares, got {len(vals)}")
         return cls(*vals)

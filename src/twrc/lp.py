@@ -18,10 +18,12 @@ one (B, m, w) tableau, in chunks of ``STACK_CHUNK``; ``solve_lp`` is the same
 routine on a stack of one.  It runs both phases, the artificial purge, point
 recovery and duals for the whole stack; its one size-dependent step is the
 pivot loop.  A stack pivots in lockstep in ``_simplex_stack``, with
-finished programs set aside; a lone program pivots in ``_simplex``, since at
-B = 1 a lockstep pivot costs about 63 us against 28 us (2-vCPU host).  Both
-loops apply the same rules, so each result equals the program solved alone,
-bit for bit; the stack only saves interpreter overhead.
+finished programs set aside; a lone program pivots in ``_simplex``, whose
+ratio test runs on Python floats.  Per pivot, over 4,450 one-program loops of
+the outer-bound and protocol programs (14,601 pivots, 2-vCPU host), that
+costs about 18 us against 88 us for a lockstep stack of one.  Both loops
+apply the same rules, so each result equals the program solved alone, bit
+for bit; the stack only saves interpreter overhead.
 """
 
 from __future__ import annotations
@@ -99,16 +101,17 @@ class LinearProgram:
         if not (np.isfinite(obj).all() and np.isfinite(mat).all() and np.isfinite(rhs).all()):
             raise ValidationError("objective, matrix and rhs must be finite")
 
-        bounds = tuple(self.bounds) or (_NONNEG,) * obj.size
-        if len(bounds) != obj.size:
-            raise ValidationError(f"bounds length {len(bounds)} != {obj.size} variables")
-        bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
-        for j, bound in enumerate(bounds):
-            if bound not in (_NONNEG, _NONPOS, _FREE):
-                raise ValidationError(
-                    f"variable {j} must be non-negative (0, inf), non-positive "
-                    f"(-inf, 0) or free (-inf, inf), got bounds {bound}")
-        object.__setattr__(self, "bounds", bounds)
+        bounds = tuple(self.bounds)
+        if bounds:  # the empty default, all non-negative, is valid by construction
+            if len(bounds) != obj.size:
+                raise ValidationError(f"bounds length {len(bounds)} != {obj.size} variables")
+            bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
+            for j, bound in enumerate(bounds):
+                if bound not in (_NONNEG, _NONPOS, _FREE):
+                    raise ValidationError(
+                        f"variable {j} must be non-negative (0, inf), non-positive "
+                        f"(-inf, 0) or free (-inf, inf), got bounds {bound}")
+        object.__setattr__(self, "bounds", bounds or (_NONNEG,) * obj.size)
 
     @property
     def n_vars(self) -> int:
@@ -246,7 +249,7 @@ def _run_simplex(table: np.ndarray, basis: np.ndarray, cost: np.ndarray, allowed
     """The simplex on a (B, m, w) stack, returning ``_simplex_stack``'s (order, outcome).
 
     The only size-dependent step of a solve: a lone program takes ``_simplex``,
-    whose pivot costs about 28 us against 63 us for ``_simplex_stack`` at B = 1.
+    whose pivot costs about 18 us against 88 us for ``_simplex_stack`` at B = 1.
     """
     if len(table) > 1:
         return _simplex_stack(table, basis, cost, allowed)
@@ -276,19 +279,20 @@ def _start_tableau(lp: LinearProgram, mats: np.ndarray):
     (B, m) basis, artificial column mask, each row's identity column, row
     signs), where ``recover`` maps a stack of u back to the original variables.
     """
-    (var, sign, s_j, s_k, s_sign, f_j, f_k, row_sign, rows, cols, vals, ident_col,
+    (var, sign, scale, s_j, s_k, s_sign, f_j, f_k, row_sign, rows, cols, vals, ident_col,
      artificial) = _layout(lp.bounds, lp.relations, (lp.rhs < 0.0).tobytes())
     table = np.zeros(mats.shape[:-1] + (artificial.size + 1,))
-    table[..., :var.size] = mats[..., var] * sign * row_sign[:, None]
+    np.multiply(mats.take(var, axis=2), scale, out=table[..., :var.size])
     table[..., rows, cols] = vals
     table[..., -1] = lp.rhs * row_sign
     cost = np.zeros(artificial.size)
     cost[:var.size] = sign * ((1.0 if lp.sense == "max" else -1.0) * lp.objective[var])
 
     def recover(u: np.ndarray) -> np.ndarray:
-        x = np.zeros(u.shape[:-1] + (lp.n_vars,))
-        x[..., s_j] = 0.0 + s_sign * u[..., s_k]  # 0.0 + turns a -0.0 into 0.0
-        x[..., f_j] = u[..., f_k] - u[..., f_k + 1]
+        x = np.zeros((len(u), lp.n_vars))
+        x[:, s_j] = 0.0 + s_sign * u.take(s_k, axis=1)  # 0.0 + turns a -0.0 into 0.0
+        if f_j.size:
+            x[:, f_j] = u[:, f_k] - u[:, f_k + 1]
         return x
 
     basis = ident_col[None].repeat(len(mats), 0)
@@ -324,8 +328,9 @@ def _layout(bounds: tuple, relations: tuple, flipped: bytes) -> tuple[np.ndarray
     s_j, s_k = np.array(single, dtype=int).reshape(-1, 2).T
     f_j, f_k = np.array(split, dtype=int).reshape(-1, 2).T
     vals = [1.0 if rel[i] == "<=" else -1.0 for i in slack] + [1.0] * len(art)
-    layout = (np.array(var, dtype=int), sign, s_j, s_k, sign[s_k], f_j, f_k,
-              np.where(flip, -1.0, 1.0), np.array(slack + art, dtype=int), cols,
+    row_sign = np.where(flip, -1.0, 1.0)
+    layout = (np.array(var, dtype=int), sign, row_sign[:, None] * sign, s_j, s_k, sign[s_k],
+              f_j, f_k, row_sign, np.array(slack + art, dtype=int), cols,
               np.array(vals), ident_col, np.arange(first_art + len(art)) >= first_art)
     for a in layout:
         a.flags.writeable = False
@@ -335,34 +340,34 @@ def _layout(bounds: tuple, relations: tuple, flipped: bytes) -> tuple[np.ndarray
 def _simplex(table: np.ndarray, basis: np.ndarray, cost: np.ndarray, allowed: np.ndarray) -> str:
     """Run primal simplex iterations in place; the start basis must be feasible."""
     m, w = table.shape
-    ncols = w - 1
+    A, rhs, c = table[:, :w - 1], table[:, -1], cost[:w - 1]
+    cand = np.nonzero(allowed)[0].tolist()
+    bas = basis.tolist()
     for _ in range(_MAX_PIVOTS):
-        reduced = cost[:ncols] - cost[basis] @ table[:, :ncols]
-        reduced[~allowed] = -1.0
-        reduced[basis] = -1.0
-        entering = np.nonzero(reduced > _COST_TOL)[0]
-        if entering.size == 0:
+        reduced = (c - cost[basis] @ A).tolist()
+        for j in cand:  # Bland: the lowest-index improving column
+            if reduced[j] > _COST_TOL and j not in bas:
+                break
+        else:
             return "optimal"
-        j = int(entering[0])  # Bland: lowest-index improving column
 
-        col = table[:, j]
-        rows = np.nonzero(col > _RATIO_ELIG_TOL)[0]
-        if rows.size == 0:
-            if bool((col > PIVOT_TOL).any()):
+        # the ratio test on Python floats: the IEEE ops of _simplex_stack's arrays
+        col, b = table[:, j].tolist(), rhs.tolist()
+        rows = [r for r in range(m) if col[r] > _RATIO_ELIG_TOL]
+        if not rows:
+            if any(v > PIVOT_TOL for v in col):
                 raise SolverError("only near-singular pivots available")
             return "unbounded"
-        ratios = table[rows, -1] / col[rows]
-        step = float(((table[rows, -1] + _HARRIS_TOL) / col[rows]).min())
-        ties = rows[ratios <= step]
+        step = min([(b[r] + _HARRIS_TOL) / col[r] for r in rows])
+        ties = [r for r in rows if b[r] / col[r] <= step]
         # stability first: the largest pivot among the rows a step of at most
         # ``step`` may take; deterministic tie-break on the basic-variable index
-        piv_mag = col[ties]
-        big = ties[piv_mag >= piv_mag.max() * (1.0 - 1e-9)]
-        i = int(big[np.argmin(basis[big])])
+        least = max([col[r] for r in ties]) * (1.0 - 1e-9)
+        i = min([r for r in ties if col[r] >= least], key=bas.__getitem__)
 
         _pivot(table, basis, i, j)
-        rhs = table[:, -1]
-        np.clip(rhs, 0.0, None, out=rhs)
+        bas[i] = j
+        np.maximum(rhs, 0.0, out=rhs)
     raise SolverError("simplex exceeded the pivot budget (numerical breakdown)")
 
 
@@ -371,8 +376,7 @@ def _pivot(table: np.ndarray, basis: np.ndarray, i: int, j: int) -> None:
     if abs(piv) < PIVOT_TOL:
         raise SolverError(f"pivot element {piv!r} below tolerance")
     row = table[i] / piv
-    colv = table[:, j].copy()
-    table -= np.outer(colv, row)
+    table -= table[:, j, None] * row
     table[i] = row
     basis[i] = j
 

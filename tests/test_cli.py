@@ -249,12 +249,27 @@ class TestMainExitCodes:
         rc = main(["outer", "--preset", "nope", "--out", str(tmp_path)])
         assert rc == 2
 
-    def test_io_error_is_4(self, tmp_path, capsys):
+    def test_io_error_is_4(self, tmp_path, capsys, monkeypatch):
         blocker = tmp_path / "blocker"
         blocker.write_text("file, not a directory")
-        rc = main(["outer", "--preset", "case-a", "--theta-points", "5",
-                   "--out", str(blocker / "sub")])
-        assert rc == 4
+        (tmp_path / "read-only").mkdir()
+        # os.access grants root everything, so the test denies write access itself
+        access = os.access
+        monkeypatch.setattr(cli.os, "access",
+                            lambda path, mode: "read-only" not in str(path) and access(path, mode))
+
+        def sweep_region(*args, **kwargs):
+            raise AssertionError("swept before finding --out unusable")
+
+        # an unusable --out is found before any sweep runs, and nothing is made
+        monkeypatch.setattr(cli, "sweep_region", sweep_region)
+        for sub in ("blocker/sub", "blocker/sub/deeper", "read-only/sub"):
+            rc = main(["outer", "--preset", "case-a", "--theta-points", "5",
+                       "--out", str(tmp_path / sub)])
+            assert rc == 4, sub
+            assert capsys.readouterr().err.startswith("i/o error: ")
+        assert blocker.read_text() == "file, not a directory"
+        assert list((tmp_path / "read-only").iterdir()) == []
 
     @pytest.mark.parametrize("cause, code, prefix", [
         (SolverError("time shares sum to 1.000000003, above 1"), 3, "solver error: "),

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from twrc import LinearProgram, SolverError, ValidationError, dual_of, solve_lp, solve_lp_stack
+from twrc import achievable, cli, outer
+from conftest import wide_channels
 
 
 def random_feasible_bounded_lp(rng, max_vars=10):
@@ -301,6 +303,36 @@ def test_stack_chunks_and_mixed_drop_patterns(monkeypatch):
     mats = rng.uniform(0.0, 2.0, size=(10, 3, 4))
     mats[::2, 1] = 2.0 * mats[::2, 0]  # every other program has a redundant row
     assert_stack_matches_scalar(template, mats)
+
+
+def test_lone_loop_matches_lockstep_loop_on_protocol_programs(monkeypatch):
+    # every program the outer bound and the five LP protocols solve, and DF
+    # without a direct link (one program per ray), over the whole SNR range:
+    # solve_lp pivots it in _simplex, a stack of two in _simplex_stack
+    solved = []
+
+    def solve_both_ways(lp):
+        want = solve_or_error(lp)
+        assert_same_solution(solve_lp_stack(lp, [lp.matrix, lp.matrix])[0], want)
+        solved.append(want)
+        if isinstance(want, SolverError):
+            raise want
+        return want
+
+    monkeypatch.setattr(achievable, "solve_lp", solve_both_ways)
+    monkeypatch.setattr(outer, "solve_lp", solve_both_ways)
+    ids = ("outer", "mabc", "tdbc", "hbc", "six-state", "comabc")
+    calls = 0
+    for g in wide_channels(np.random.default_rng(2026), 60):
+        # DF solves one program per ray only without a direct link
+        for name in ids + (("six-state-df",) if g.gamma3 == 0.0 else ()):
+            for k in (0.0, 0.3, 1.0, 2.5, 1e6, math.inf):
+                calls += 1
+                try:
+                    cli.protocol_evaluator(name, g, alpha_grid=2)(k)
+                except SolverError:
+                    pass
+    assert len(solved) == calls > 60 * 6 * len(ids)
 
 
 def test_stack_rejects_bad_input():
