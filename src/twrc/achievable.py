@@ -1,4 +1,4 @@
-"""Achievable rate regions of the relaying protocols, one per-ray LP each.
+"""Achievable rate regions of the relaying protocols, one LP system per channel each.
 
 Covers the two-phase multiple-access/broadcast protocol (MABC), the four-phase
 hybrid protocol (HBC) and its three-phase time-division restriction (TDBC),
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -62,24 +63,38 @@ class BoundaryPoint:
     power_split: PowerSplit | None = None
 
 
-def _protocol_point(matrix: np.ndarray, relations, rhs, k: float,
-                    states: tuple[int, ...]) -> BoundaryPoint:
-    """Solve a protocol system on the ray; its columns 2.. are the time shares
-    of ``states``, and every other state gets share 0."""
-    x = lp_optimum(solve_lp(ray_lp(matrix, relations, rhs, k)))
-    lam = [0.0] * 6
-    for state, share in zip(states, x[1:]):
-        lam[state - 1] = share
-    return BoundaryPoint(*ray_rates(x[0], k), lp_shares(lam))
+# A protocol's per-channel system: (matrix, relations, rhs, states) over the
+# columns (Ra, Rb, then one time share per entry of ``states``).
+System = tuple[np.ndarray, tuple[str, ...], tuple[float, ...], tuple[int, ...]]
 
 
-def ray_lp(matrix: np.ndarray, relations, rhs, k: float) -> LinearProgram:
-    """The ray-tied program of a system whose columns 0 and 1 are Ra and Rb:
-    ``tie_ray`` merges them into column 0, the rate that is maximized."""
-    tied = tie_ray(matrix, k)
-    obj = np.zeros(tied.shape[1])
+def ray_programs(matrix: np.ndarray, relations, rhs) -> Callable[[float], LinearProgram]:
+    """k -> the ray-tied program of a system whose columns 0 and 1 are Ra and Rb:
+    ``tie_ray`` merges them into column 0, the rate that is maximized.
+
+    The program is built and validated once; each ray only ties the system
+    and derives its program from that template (``LinearProgram.with_matrix``).
+    """
+    obj = np.zeros(matrix.shape[1] - 1)
     obj[0] = 1.0
-    return LinearProgram(objective=obj, matrix=tied, relations=relations, rhs=rhs)
+    template = LinearProgram(objective=obj, matrix=matrix[:, 1:], relations=relations, rhs=rhs)
+    return lambda k: template.with_matrix(tie_ray(matrix, k))
+
+
+def ray_evaluator(system: System) -> Callable[[float], BoundaryPoint]:
+    """k -> the boundary point of a protocol system on the ray Ra = k*Rb; every
+    state not in the system's ``states`` gets share 0."""
+    matrix, relations, rhs, states = system
+    program = ray_programs(matrix, relations, rhs)
+
+    def point(k: float) -> BoundaryPoint:
+        x = lp_optimum(solve_lp(program(k)))
+        lam = [0.0] * 6
+        for state, share in zip(states, x[1:]):
+            lam[state - 1] = share
+        return BoundaryPoint(*ray_rates(x[0], k), lp_shares(lam))
+
+    return point
 
 
 def lp_optimum(sol: LpSolution | SolverError) -> np.ndarray:
@@ -100,7 +115,7 @@ def lp_shares(values) -> TimeShares:
         raise SolverError(f"LP solution has invalid time shares: {exc}") from exc
 
 
-def mabc_boundary(k: float, gains: ChannelGains) -> BoundaryPoint:
+def mabc_system(gains: ChannelGains) -> System:
     """Two-phase protocol: simultaneous uplinks (state 3), relay broadcast (state 4)."""
     caps = link_capacities(gains)
     # columns: Ra, Rb, lam3, lam4
@@ -112,11 +127,10 @@ def mabc_boundary(k: float, gains: ChannelGains) -> BoundaryPoint:
         [1.0, 1.0, -caps.c12, 0.0],
         [0.0, 0.0, 1.0, 1.0],
     ])
-    rhs = [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]
-    return _protocol_point(A, ("<=",) * 6, rhs, k, (3, 4))
+    return A, ("<=",) * 6, (0.0,) * 5 + (1.0,), (3, 4)
 
 
-def hbc_boundary(k: float, gains: ChannelGains, tdbc_only: bool = False) -> BoundaryPoint:
+def hbc_system(gains: ChannelGains, tdbc_only: bool = False) -> System:
     """Four-phase protocol over states 1-4; ``tdbc_only`` drops the joint
     uplink state 3 (the three-phase time-division restriction)."""
     caps = link_capacities(gains)
@@ -129,16 +143,16 @@ def hbc_boundary(k: float, gains: ChannelGains, tdbc_only: bool = False) -> Boun
         [1.0, 1.0, -caps.c1, -caps.c2, -caps.c12, 0.0],
         [0.0, 0.0, 1.0, 1.0, 1.0, 1.0],
     ])
-    rel = ["<="] * 5 + ["="]
-    rhs = [0.0] * 5 + [1.0]
+    rel = ("<=",) * 5 + ("=",)
+    rhs = (0.0,) * 5 + (1.0,)
     if tdbc_only:
         A = np.vstack([A, [0.0, 0.0, 0.0, 0.0, 1.0, 0.0]])
-        rel.append("=")
-        rhs.append(0.0)
-    return _protocol_point(A, rel, rhs, k, (1, 2, 3, 4))
+        rel += ("=",)
+        rhs += (0.0,)
+    return A, rel, rhs, (1, 2, 3, 4)
 
 
-def six_state_boundary(k: float, gains: ChannelGains) -> BoundaryPoint:
+def six_state_system(gains: ChannelGains) -> System:
     """Six-state protocol with side information: states 5 and 6 forward relayed
     data coherently with fresh direct-link transmissions.
 
@@ -156,12 +170,10 @@ def six_state_boundary(k: float, gains: ChannelGains) -> BoundaryPoint:
         [1.0, 1.0, -caps.c1, -caps.c2, -caps.c12, 0.0, -caps.c3, -caps.c3],
         [0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
     ])
-    rel = ("<=",) * 5 + ("=",)
-    rhs = [0.0] * 5 + [1.0]
-    return _protocol_point(A, rel, rhs, k, (1, 2, 3, 4, 5, 6))
+    return A, ("<=",) * 5 + ("=",), (0.0,) * 5 + (1.0,), (1, 2, 3, 4, 5, 6)
 
 
-def comabc_boundary(k: float, gains: ChannelGains) -> BoundaryPoint:
+def comabc_system(gains: ChannelGains) -> System:
     """Three-phase lattice-forwarding protocol over states 3, 4 and 6.
 
     The relay decodes a lattice combination, so the uplink rates are capped by
@@ -178,8 +190,28 @@ def comabc_boundary(k: float, gains: ChannelGains) -> BoundaryPoint:
         [0.0, 1.0, 0.0, -caps.c1, -caps.c13],
         [0.0, 0.0, 1.0, 1.0, 1.0],
     ])
-    rhs = [0.0, 0.0, 0.0, 0.0, 1.0]
-    return _protocol_point(A, ("<=",) * 5, rhs, k, (3, 4, 6))
+    return A, ("<=",) * 5, (0.0,) * 4 + (1.0,), (3, 4, 6)
+
+
+def mabc_boundary(k: float, gains: ChannelGains) -> BoundaryPoint:
+    """The MABC boundary point on the ray Ra = k*Rb (``mabc_system``)."""
+    return ray_evaluator(mabc_system(gains))(k)
+
+
+def hbc_boundary(k: float, gains: ChannelGains, tdbc_only: bool = False) -> BoundaryPoint:
+    """The HBC (TDBC with ``tdbc_only``) boundary point on the ray Ra = k*Rb
+    (``hbc_system``)."""
+    return ray_evaluator(hbc_system(gains, tdbc_only))(k)
+
+
+def six_state_boundary(k: float, gains: ChannelGains) -> BoundaryPoint:
+    """The six-state boundary point on the ray Ra = k*Rb (``six_state_system``)."""
+    return ray_evaluator(six_state_system(gains))(k)
+
+
+def comabc_boundary(k: float, gains: ChannelGains) -> BoundaryPoint:
+    """The CoMABC boundary point on the ray Ra = k*Rb (``comabc_system``)."""
+    return ray_evaluator(comabc_system(gains))(k)
 
 
 def _lattice_uplink_rate(g_own: float, g_other: float) -> float:
@@ -273,7 +305,7 @@ def _df_split_caps(g_relay: float, g3: float, alpha: float) -> tuple[float, floa
 
 def _df_point(k: float, gains: ChannelGains, alpha1: float, alpha2: float) -> BoundaryPoint:
     A, rel, rhs = _df_matrix(gains, alpha1, alpha2)
-    x = lp_optimum(solve_lp(ray_lp(A, rel, rhs, k)))
+    x = lp_optimum(solve_lp(ray_programs(A, rel, rhs)(k)))
     return _df_boundary_point(k, x, lp_shares(x[1:7]), alpha1, alpha2)
 
 
@@ -304,7 +336,7 @@ def six_state_df_boundary(k: float, gains: ChannelGains, alpha_grid: int = 33,
 
     axis = np.linspace(0.0, 1.0, alpha_grid)
     A, rel, rhs = _df_matrix(gains, 0.0, 0.0)  # the split entries are set per point
-    template = ray_lp(A, rel, rhs, k)
+    template = ray_programs(A, rel, rhs)(k)
     best = _df_best(template, gains, axis, axis)
 
     if refine:

@@ -45,14 +45,15 @@ from .outer import (
     capacity_thresholds,
     one_way_bound,
     one_way_bound_ab,
-    outer_ratio_bound,
+    outer_evaluator,
+    outer_ratio_bound,  # noqa: F401 -- perfbench/spans.py wraps cli's binding
 )
 from .region import Region, SweepError, max_radial_gap, sweep_region, symmetric_rate
 
 SCHEMA_VERSION = 1
 
 
-def _analytic_point(k: float, gains: ChannelGains, alpha_grid: int):
+def _analytic_point(k: float, gains: ChannelGains):
     """The closed-form outer bound on the ray Ra = k*Rb (no time shares)."""
     if is_ra_axis(k):
         return achievable.BoundaryPoint(one_way_bound_ab(gains), 0.0, ZERO_SHARES)
@@ -60,18 +61,20 @@ def _analytic_point(k: float, gains: ChannelGains, alpha_grid: int):
     return achievable.BoundaryPoint(k * rb, rb, ZERO_SHARES)
 
 
-# protocol or bound id -> evaluator(k, gains, alpha_grid); the only list of
-# ids.  Each evaluator looks its functions up when called, so a rebound module
-# attribute takes effect.
+# protocol or bound id -> evaluator factory (gains, alpha_grid) -> (k -> point);
+# the only list of ids.  An LP family's factory states the channel's system and
+# builds its program once, so a ray only ties column 0, derives its program,
+# solves it and expands the shares.  A factory looks its functions up when
+# called, so a rebound module attribute takes effect.
 _EVALUATORS = {
-    "outer": lambda k, g, a: outer_ratio_bound(k, g),
-    "outer-analytic": _analytic_point,
-    "mabc": lambda k, g, a: achievable.mabc_boundary(k, g),
-    "tdbc": lambda k, g, a: achievable.hbc_boundary(k, g, tdbc_only=True),
-    "hbc": lambda k, g, a: achievable.hbc_boundary(k, g),
-    "six-state-df": lambda k, g, a: achievable.six_state_df_boundary(k, g, a),
-    "six-state": lambda k, g, a: achievable.six_state_boundary(k, g),
-    "comabc": lambda k, g, a: achievable.comabc_boundary(k, g),
+    "outer": lambda g, a: outer_evaluator(g),
+    "outer-analytic": lambda g, a: lambda k: _analytic_point(k, g),
+    "mabc": lambda g, a: achievable.ray_evaluator(achievable.mabc_system(g)),
+    "tdbc": lambda g, a: achievable.ray_evaluator(achievable.hbc_system(g, tdbc_only=True)),
+    "hbc": lambda g, a: achievable.ray_evaluator(achievable.hbc_system(g)),
+    "six-state-df": lambda g, a: lambda k: achievable.six_state_df_boundary(k, g, a),
+    "six-state": lambda g, a: achievable.ray_evaluator(achievable.six_state_system(g)),
+    "comabc": lambda g, a: achievable.ray_evaluator(achievable.comabc_system(g)),
 }
 PROTOCOL_IDS = tuple(_EVALUATORS)
 # what `compare --preset` runs by default: every protocol, no extra bound
@@ -79,11 +82,10 @@ _COMPARE_DEFAULT = tuple(p for p in PROTOCOL_IDS if not p.startswith("outer"))
 
 
 def protocol_evaluator(name: str, gains: ChannelGains, alpha_grid: int = 33):
-    """Per-ray evaluator for a protocol or bound identifier."""
+    """Per-ray evaluator for a protocol or bound identifier on one channel."""
     if name not in _EVALUATORS:
         raise ValidationError(f"unknown protocol {name!r}")
-    evaluate = _EVALUATORS[name]
-    return lambda k: evaluate(k, gains, alpha_grid)
+    return _EVALUATORS[name](gains, alpha_grid)
 
 
 # largest accepted sweep sizes: a 0.025-degree ray grid, a 257x257 DF

@@ -24,6 +24,15 @@ the outer-bound and protocol programs (14,601 pivots, 2-vCPU host), that
 costs about 18 us against 88 us for a lockstep stack of one.  Both loops
 apply the same rules, so each result equals the program solved alone, bit
 for bit; the stack only saves interpreter overhead.
+
+Programs that differ only in their matrix share the rest of their set-up.
+``LinearProgram.with_matrix`` derives such a program from a validated one,
+checking only the new matrix (the check ``solve_lp_stack`` applies to its
+stack), so a sweep builds one program per channel and derives one per ray.
+The part of the phase-1 start that the matrix does not touch (the slack,
+artificial and rhs entries, both costs and the feasibility limit) is built
+once per (bounds, relations, rhs, objective, sense) and cached (``_start``):
+a solve copies it and fills in the matrix columns.
 """
 
 from __future__ import annotations
@@ -113,6 +122,17 @@ class LinearProgram:
                         f"(-inf, 0) or free (-inf, inf), got bounds {bound}")
         object.__setattr__(self, "bounds", bounds or (_NONNEG,) * obj.size)
 
+    def with_matrix(self, matrix) -> LinearProgram:
+        """This program with ``matrix`` as its constraint matrix: a derived program.
+
+        Only the new matrix is checked, for this program's shape and finite
+        entries; every other field is this program's, validated once and
+        shared.  It solves bit for bit as a freshly built equal program.
+        """
+        lp = object.__new__(LinearProgram)
+        lp.__dict__.update(self.__dict__, matrix=_checked(matrix, self.matrix.shape, False))
+        return lp
+
     @property
     def n_vars(self) -> int:
         return int(self.objective.size)
@@ -168,22 +188,35 @@ def solve_lp_stack(template: LinearProgram, matrices) -> list[LpSolution | Solve
     bit for bit.  A numerical breakdown fails only its own program, whose
     entry is then the ``SolverError`` that ``solve_lp`` raises for it.
     """
-    mats = np.asarray(matrices, dtype=float)
-    if mats.ndim != 3 or mats.shape[1:] != template.matrix.shape:
-        raise ValidationError(
-            f"matrix stack shape {mats.shape} does not match the template's "
-            f"{template.matrix.shape}")
-    if not np.isfinite(mats).all():
-        raise ValidationError("matrix stack must be finite")
+    mats = _checked(matrices, template.matrix.shape, True)
     out = []
     for start in range(0, len(mats), STACK_CHUNK):
         out += _solve_chunk(template, mats[start:start + STACK_CHUNK])
     return out
 
 
+def _checked(matrices, shape: tuple[int, int], stacked: bool) -> np.ndarray:
+    """``matrices`` as floats, one (m, n) matrix or, if ``stacked``, a (B, m, n)
+    stack; rejected unless (m, n) is ``shape`` and every entry is finite."""
+    mats = np.asarray(matrices, dtype=float)
+    what = "matrix stack" if stacked else "matrix"
+    if mats.ndim != 2 + stacked or mats.shape[-2:] != shape:
+        raise ValidationError(f"{what} shape {mats.shape} does not match the template's {shape}")
+    if not np.isfinite(mats).all():
+        raise ValidationError(f"{what} must be finite")
+    return mats
+
+
 def _solve_chunk(lp: LinearProgram, mats: np.ndarray) -> list[LpSolution | SolverError]:
     """The two-phase simplex on a (B, m, n) stack of ``lp``'s programs."""
-    cost2, recover, table, basis, artificial, ident_col, row_sign = _start_tableau(lp, mats)
+    ((var, _, scale, s_j, s_k, s_sign, f_j, f_k, row_sign, _, _, _, ident_col, artificial),
+     block, cost1, cost2, limit) = _start(lp.bounds, lp.relations, lp.rhs.tobytes(),
+                                          lp.objective.tobytes(), lp.sense)
+    # the start tableau: the cached block, then the matrix columns of the rewrite
+    table = np.empty(mats.shape[:-1] + block.shape[-1:])
+    table[...] = block
+    np.multiply(mats.take(var, axis=2), scale, out=table[..., :var.size])
+    basis = ident_col[None].repeat(len(mats), 0)
     ncols = artificial.size
     out: list = [None] * len(mats)
     members = np.arange(len(mats))
@@ -191,10 +224,8 @@ def _solve_chunk(lp: LinearProgram, mats: np.ndarray) -> list[LpSolution | Solve
 
     # Phase 1: drive the artificial variables to zero.
     if artificial.any():
-        cost1 = np.where(artificial, -1.0, 0.0)
         members, status = _run_simplex(table, basis, cost1, np.ones(ncols, dtype=bool))
         infeas = -(cost1[basis][:, None, :] @ table[:, :, -1:])[:, 0, 0]
-        limit = FEASIBILITY_TOL * max(1.0, float(np.abs(lp.rhs).max(initial=0.0)))
         for r, st, inf in zip(members, status, infeas):
             if isinstance(st, SolverError):
                 out[r] = st
@@ -225,7 +256,10 @@ def _solve_chunk(lp: LinearProgram, mats: np.ndarray) -> list[LpSolution | Solve
         progs = progs[order]
         U = np.zeros((len(T), ncols))
         U[np.arange(len(T))[:, None], bas] = T[:, :, -1]
-        X = recover(U)
+        X = np.zeros((len(T), lp.n_vars))
+        X[:, s_j] = 0.0 + s_sign * U.take(s_k, axis=1)  # 0.0 + turns a -0.0 into 0.0
+        if f_j.size:
+            X[:, f_j] = U[:, f_k] - U[:, f_k + 1]
         # Duals: each row's identity column (its slack or artificial) holds
         # that row's component of the basis inverse, so y_i = c_B @ column.
         # This stays valid for rows whose tableau row was dropped as redundant.
@@ -268,42 +302,43 @@ def _no_optimum(lp: LinearProgram, status: str) -> LpSolution:
     return LpSolution(status, value, np.full(lp.n_vars, math.nan), (), np.zeros(lp.n_rows))
 
 
-def _start_tableau(lp: LinearProgram, mats: np.ndarray):
-    """The phase-1 start of a (B, m, n) stack of ``lp``'s programs.
+@functools.lru_cache(maxsize=256)
+def _start(bounds: tuple, relations: tuple, rhs: bytes, objective: bytes, sense: str):
+    """The phase-1 start of the programs with these fields (``rhs`` and
+    ``objective`` as float64 bytes), built once and cached read-only.
+
+    Returns (``_layout``, block, phase-1 cost, phase-2 cost, feasibility
+    limit): block is the (m, w) start tableau with zero matrix columns, which
+    a solve copies and then fills in; the start basis is each row's identity
+    column.
+    """
+    b = np.frombuffer(rhs)
+    layout = _layout(bounds, relations, (b < 0.0).tobytes())
+    var, sign, _, _, _, _, _, _, row_sign, rows, cols, vals, _, artificial = layout
+    block = np.zeros((len(relations), artificial.size + 1))
+    block[rows, cols] = vals
+    block[:, -1] = b * row_sign
+    cost1 = np.where(artificial, -1.0, 0.0)
+    cost2 = np.zeros(artificial.size)
+    cost2[:var.size] = sign * ((1.0 if sense == "max" else -1.0) * np.frombuffer(objective)[var])
+    for a in (block, cost1, cost2):
+        a.flags.writeable = False
+    limit = FEASIBILITY_TOL * max(1.0, float(np.abs(b).max(initial=0.0)))
+    return layout, block, cost1, cost2, limit
+
+
+@functools.lru_cache(maxsize=256)
+def _layout(bounds: tuple, relations: tuple, flipped: bytes) -> tuple[np.ndarray, ...]:
+    """The columns of ``_start``, as read-only arrays cached for the programs
+    that share them; ``flipped`` marks the rows whose rhs is negative, as
+    bytes of bools.
 
     The program is rewritten over non-negative variables u in maximization
     form: a non-negative variable keeps its column, a non-positive one is
     x = -u and a free one is split into x = u+ - u-.  Rows are flipped to a
     non-negative rhs, then get one slack per inequality and one artificial
-    per row that has no +1 slack.  Returns (phase-2 cost, recover, table,
-    (B, m) basis, artificial column mask, each row's identity column, row
-    signs), where ``recover`` maps a stack of u back to the original variables.
+    per row that has no +1 slack.
     """
-    (var, sign, scale, s_j, s_k, s_sign, f_j, f_k, row_sign, rows, cols, vals, ident_col,
-     artificial) = _layout(lp.bounds, lp.relations, (lp.rhs < 0.0).tobytes())
-    table = np.zeros(mats.shape[:-1] + (artificial.size + 1,))
-    np.multiply(mats.take(var, axis=2), scale, out=table[..., :var.size])
-    table[..., rows, cols] = vals
-    table[..., -1] = lp.rhs * row_sign
-    cost = np.zeros(artificial.size)
-    cost[:var.size] = sign * ((1.0 if lp.sense == "max" else -1.0) * lp.objective[var])
-
-    def recover(u: np.ndarray) -> np.ndarray:
-        x = np.zeros((len(u), lp.n_vars))
-        x[:, s_j] = 0.0 + s_sign * u.take(s_k, axis=1)  # 0.0 + turns a -0.0 into 0.0
-        if f_j.size:
-            x[:, f_j] = u[:, f_k] - u[:, f_k + 1]
-        return x
-
-    basis = ident_col[None].repeat(len(mats), 0)
-    return cost, recover, table, basis, artificial, ident_col, row_sign
-
-
-@functools.lru_cache(maxsize=256)
-def _layout(bounds: tuple, relations: tuple, flipped: bytes) -> tuple[np.ndarray, ...]:
-    """The columns of ``_start_tableau``, as read-only arrays cached for the
-    programs that share them; ``flipped`` marks the rows whose rhs is
-    negative, as bytes of bools."""
     var, sign = [], []       # column k of the rewrite is sign[k] * x[var[k]]
     single, split = [], []   # (j, k): x_j = sign[k] * u_k; (j, k): x_j = u_k - u_k+1
     for j, (lo, hi) in enumerate(bounds):

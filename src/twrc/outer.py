@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .achievable import lp_optimum, lp_shares, ray_lp
+from .achievable import lp_optimum, lp_shares, ray_programs
 from .core import (
     ACTIVE_STATE_TOL,
     ChannelGains,
@@ -161,13 +161,24 @@ def weighted_bound_lp(wa: float, wb: float, gains: ChannelGains) -> LinearProgra
                          relations=("<=",) * 5, rhs=_CUT_SET_RHS)
 
 
+def outer_evaluator(gains: ChannelGains) -> Callable[[float], OuterPoint]:
+    """k -> the outer-bound point on the ray Ra = k*Rb (k = inf: the Ra axis),
+    from the cut-set system with the ray substituted (``tie_ray``); the
+    channel's program is built once (``ray_programs``)."""
+    program = ray_programs(_cut_set_matrix(gains), ("<=",) * 5, _CUT_SET_RHS)
+
+    def point(k: float) -> OuterPoint:
+        x = lp_optimum(solve_lp(program(k)))
+        shares = lp_shares(x[1:7])
+        ra, rb = ray_rates(x[0], k)
+        return OuterPoint(float(k), ra, rb, shares, shares.active_states(ACTIVE_STATE_TOL))
+
+    return point
+
+
 def outer_ratio_bound(k: float, gains: ChannelGains) -> OuterPoint:
-    """The outer-bound point on the ray Ra = k*Rb (k = inf: the Ra axis), from the
-    cut-set system with the ray substituted (``tie_ray``)."""
-    x = lp_optimum(solve_lp(ray_lp(_cut_set_matrix(gains), ("<=",) * 5, _CUT_SET_RHS, k)))
-    shares = lp_shares(x[1:7])
-    ra, rb = ray_rates(x[0], k)
-    return OuterPoint(float(k), ra, rb, shares, shares.active_states(ACTIVE_STATE_TOL))
+    """The outer-bound point on the ray Ra = k*Rb (``outer_evaluator``)."""
+    return outer_evaluator(gains)(k)
 
 
 def outer_weighted_bound(wa: float, wb: float, gains: ChannelGains) -> WeightedBound:

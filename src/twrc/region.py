@@ -8,6 +8,7 @@ values along shared rays.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -39,6 +40,11 @@ class Region:
     thetas_deg: tuple[float, ...]
     gains: ChannelGains
     hull: tuple[tuple[float, float], ...]
+
+    @functools.cached_property
+    def supports(self) -> dict[float, float]:
+        """``support_along_ray`` of the hull at each swept angle, computed once."""
+        return {theta: support_along_ray(self.hull, theta) for theta in self.thetas_deg}
 
 
 def ray_grid(theta_points: int) -> list[tuple[float, float]]:
@@ -192,8 +198,9 @@ def max_radial_gap(a: Region, b: Region) -> tuple[float, float]:
         raise GainsMismatchError("regions share no sweep angles")
     best_gap = -math.inf
     best_theta = common[0]
+    sup_a, sup_b = a.supports, b.supports
     for theta in common:
-        gap = support_along_ray(a.hull, theta) - support_along_ray(b.hull, theta)
+        gap = sup_a[theta] - sup_b[theta]
         if gap > best_gap:
             best_gap, best_theta = gap, theta
     return (best_gap, best_theta)

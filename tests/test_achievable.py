@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -19,9 +20,13 @@ from twrc import (
     ray_grid,
     six_state_boundary,
     six_state_df_boundary,
+    solve_lp,
+    sweep_region,
     validate_gains,
 )
-from twrc.achievable import _df_point
+from twrc import LinearProgram, OuterPoint, achievable, outer
+from twrc.achievable import BoundaryPoint, _df_point, lp_optimum, lp_shares
+from twrc.core import ACTIVE_STATE_TOL, ray_rates, tie_ray
 from twrc.lp import STACK_CHUNK
 from conftest import band_channels, highs_ray_rate, random_gains, wide_channels
 
@@ -378,3 +383,90 @@ class TestCrossProtocolProperties:
             p = fn(math.inf, case_a)
             assert p.rb == 0.0
             assert p.ra > 0.0
+
+
+# LP id -> channel -> its ray system (matrix, relations, rhs, states), as the
+# evaluators state it
+LP_SYSTEMS = {
+    "outer": lambda g: (outer._cut_set_matrix(g), ("<=",) * 5, outer._CUT_SET_RHS,
+                        (1, 2, 3, 4, 5, 6)),
+    "mabc": achievable.mabc_system,
+    "tdbc": lambda g: achievable.hbc_system(g, tdbc_only=True),
+    "hbc": achievable.hbc_system,
+    "six-state": achievable.six_state_system,
+    "comabc": achievable.comabc_system,
+}
+
+
+def fresh_point(name, system, k):
+    """(x, point) of the ray program built from scratch, as each ray once did."""
+    A, rel, rhs, states = system
+    tied = tie_ray(A, k)
+    obj = np.zeros(tied.shape[1])
+    obj[0] = 1.0
+    x = lp_optimum(solve_lp(LinearProgram(objective=obj, matrix=tied, relations=rel, rhs=rhs)))
+    lam = [0.0] * 6
+    for state, share in zip(states, x[1:]):
+        lam[state - 1] = share
+    shares, (ra, rb) = lp_shares(lam), ray_rates(x[0], k)
+    if name == "outer":
+        return x, OuterPoint(float(k), ra, rb, shares, shares.active_states(ACTIVE_STATE_TOL))
+    return x, BoundaryPoint(ra, rb, shares)
+
+
+class TestPerChannelPrograms:
+    def test_a_sweep_builds_its_program_once(self, monkeypatch, case_a):
+        counts = collections.Counter()
+
+        def counted(name, fn):  # a plain function, as a tracer puts in its place
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        for mod in (achievable, outer):
+            monkeypatch.setattr(mod, "LinearProgram", counted("build", mod.LinearProgram))
+            monkeypatch.setattr(mod, "link_capacities",
+                                counted("caps", mod.link_capacities))
+        for name in LP_SYSTEMS:
+            counts.clear()
+            reg = sweep_region(protocol_evaluator(name, case_a), case_a, 91)
+            assert len(reg.points) == 93
+            assert counts == {"build": 1, "caps": 1}, name
+
+    def test_evaluators_equal_programs_built_from_scratch(self, monkeypatch):
+        # x, shares and any SolverError text, bit for bit, with one evaluator
+        # serving every ray of its channel
+        solved = []
+
+        def solve(lp):
+            sol = solve_lp(lp)
+            solved.append(sol)
+            return sol
+
+        monkeypatch.setattr(achievable, "solve_lp", solve)
+        monkeypatch.setattr(outer, "solve_lp", solve)
+        cases = [(preset_scenario(p).gains(), [k for _, k in ray_grid(91)]) for p in PRESETS]
+        cases += [(g, [0.0, 0.3, 1.0, 2.5, 1e6, math.inf])
+                  for g in wide_channels(np.random.default_rng(2026), 60)]
+        points = raised = 0
+        for g, ks in cases:
+            for name, system in LP_SYSTEMS.items():
+                evaluate = protocol_evaluator(name, g)
+                for k in ks:
+                    solved.clear()
+                    try:
+                        want_x, want = fresh_point(name, system(g), k)
+                    except SolverError as exc:
+                        with pytest.raises(SolverError) as got:
+                            evaluate(k)
+                        assert str(got.value) == str(exc), (name, g, k)
+                        raised += 1
+                        continue
+                    got = evaluate(k)
+                    assert solved[-1].x.tobytes() == want_x.tobytes(), (name, g, k)
+                    assert type(got) is type(want) and got == want, (name, g, k)
+                    assert (np.array(got.shares.as_tuple()).tobytes()
+                            == np.array(want.shares.as_tuple()).tobytes()), (name, g, k)
+                    points += 1
+        assert points + raised == 6 * (4 * 93 + 60 * 6) and raised <= 0.01 * points

@@ -277,10 +277,12 @@ class TestMainExitCodes:
     ], ids=["solver-error", "validation-error"])
     def test_sweep_failure_exits_as_its_cause(self, tmp_path, capsys, monkeypatch,
                                               cause, code, prefix):
-        def evaluate(k, gains, alpha_grid):
-            if k >= 1.0:
-                raise cause
-            return mabc_boundary(k, gains)
+        def evaluate(gains, alpha_grid):
+            def point(k):
+                if k >= 1.0:
+                    raise cause
+                return mabc_boundary(k, gains)
+            return point
 
         monkeypatch.setitem(cli._EVALUATORS, "mabc", evaluate)
         out = tmp_path / "out"

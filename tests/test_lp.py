@@ -335,6 +335,41 @@ def test_lone_loop_matches_lockstep_loop_on_protocol_programs(monkeypatch):
     assert len(solved) == calls > 60 * 6 * len(ids)
 
 
+def test_derived_program_equals_a_fresh_one():
+    # every field and every solve byte of a derived program is a freshly built
+    # equal program's, over mixed relations, variable signs and both senses
+    rng = np.random.default_rng(12)
+    signs = ((0.0, math.inf), (-math.inf, 0.0), (-math.inf, math.inf))
+    statuses = set()
+    for i in range(300):
+        base = random_feasible_bounded_lp(rng)
+        bounds = () if i % 3 == 0 else tuple(signs[j] for j in rng.integers(0, 3, base.n_vars))
+        template = dataclasses.replace(base, bounds=bounds, sense=("max", "min")[i % 2])
+        mat = rng.uniform(-5.0, 5.0, template.matrix.shape)
+        derived = template.with_matrix(mat)
+        fresh = LinearProgram(template.objective, mat, template.relations, template.rhs,
+                              template.bounds, template.sense)
+        for field in dataclasses.fields(LinearProgram):
+            got, want = getattr(derived, field.name), getattr(fresh, field.name)
+            if isinstance(want, np.ndarray):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), field.name
+            else:
+                assert got == want, field.name
+        want = solve_or_error(fresh)
+        assert_same_solution(solve_or_error(derived), want)
+        statuses.add(type(want).__name__ if isinstance(want, SolverError) else want.status)
+    assert {"optimal", "infeasible", "unbounded"} <= statuses
+
+
+def test_derived_program_rejects_a_bad_matrix():
+    t = LinearProgram([1.0, 1.0], [[1.0, 1.0]], ("<=",), [1.0])
+    for bad in (np.ones((1, 3)), np.ones((2, 2)), np.ones((1, 1, 2)),
+                [[1.0, math.nan]], [[math.inf, 1.0]]):
+        with pytest.raises(ValidationError):
+            t.with_matrix(bad)
+    assert t.matrix.tolist() == [[1.0, 1.0]]
+
+
 def test_stack_rejects_bad_input():
     t = LinearProgram([1.0, 1.0], [[1.0, 1.0]], ("<=",), [1.0])
     with pytest.raises(ValidationError):
