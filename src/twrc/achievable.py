@@ -64,17 +64,18 @@ class BoundaryPoint:
 
 
 # A protocol's per-channel system: (matrix, relations, rhs, states) over the
-# columns (Ra, Rb, then one time share per entry of ``states``).
+# columns (Ra, Rb, one time share per entry of ``states``, then any others).
 System = tuple[np.ndarray, tuple[str, ...], tuple[float, ...], tuple[int, ...]]
 
 
-def ray_programs(matrix: np.ndarray, relations, rhs) -> Callable[[float], LinearProgram]:
-    """k -> the ray-tied program of a system whose columns 0 and 1 are Ra and Rb:
-    ``tie_ray`` merges them into column 0, the rate that is maximized.
+def ray_programs(system: System) -> Callable[[float], LinearProgram]:
+    """k -> the ray-tied program of a system: ``tie_ray`` merges its Ra and Rb
+    columns into column 0, the rate that is maximized.
 
     The program is built and validated once; each ray only ties the system
     and derives its program from that template (``LinearProgram.with_matrix``).
     """
+    matrix, relations, rhs, _ = system
     obj = np.zeros(matrix.shape[1] - 1)
     obj[0] = 1.0
     template = LinearProgram(objective=obj, matrix=matrix[:, 1:], relations=relations, rhs=rhs)
@@ -84,8 +85,7 @@ def ray_programs(matrix: np.ndarray, relations, rhs) -> Callable[[float], Linear
 def ray_evaluator(system: System) -> Callable[[float], BoundaryPoint]:
     """k -> the boundary point of a protocol system on the ray Ra = k*Rb; every
     state not in the system's ``states`` gets share 0."""
-    matrix, relations, rhs, states = system
-    program = ray_programs(matrix, relations, rhs)
+    program, states = ray_programs(system), system[3]
 
     def point(k: float) -> BoundaryPoint:
         x = lp_optimum(solve_lp(program(k)))
@@ -225,93 +225,89 @@ def _lattice_uplink_rate(g_own: float, g_other: float) -> float:
     return math.log2(arg)
 
 
-# flow variables of the six-state DF protocol, in LP column order
-_DF_FLOWS: tuple[tuple[str, str, int], ...] = (
-    ("a", "r", 1), ("a", "b", 1),
-    ("b", "r", 2), ("b", "a", 2),
-    ("a", "r", 3), ("b", "r", 3),
-    ("r", "a", 4), ("r", "b", 4),
-    ("r", "b", 5), ("a", "b", 5),
-    ("r", "a", 6), ("b", "a", 6),
+# flow variables of the six-state DF protocol, in LP column order: "ar1" is the
+# flow from a to the relay r in state 1
+_DF_FLOWS = ("ar1", "ab1", "br2", "ba2", "ar3", "br3", "ra4", "rb4", "rb5", "ab5", "ra6", "ba6")
+_DF_COLUMNS = ("Ra", "Rb", "lam1", "lam2", "lam3", "lam4", "lam5", "lam6") + _DF_FLOWS
+# the power split's capacities: relay-bound, then direct-link, of states 1 and 2
+_DF_SPLIT_CAPS = ("relay1", "direct1", "relay2", "direct2")
+
+# The six-state DF system, one row each as ({column: coefficient}, relation);
+# the last row, the time budget, has rhs 1 and every other row 0.  A share's
+# coefficient names a capacity, entered negated: a ``LinkCaps`` field, or one
+# of ``_DF_SPLIT_CAPS``, which the power split sets.
+_DF_ROWS = (
+    # rate compositions: a rate is all its source sends, via the relay or not
+    ({"Ra": 1, "ar1": -1, "ab1": -1, "ab5": -1, "ar3": -1}, "="),
+    ({"Rb": 1, "br2": -1, "ba2": -1, "ba6": -1, "br3": -1}, "="),
+    # per-state caps: flows within a state's share times a capacity
+    ({"ar1": 1, "lam1": "relay1"}, "<="), ({"ab1": 1, "lam1": "direct1"}, "<="),
+    ({"br2": 1, "lam2": "relay2"}, "<="), ({"ba2": 1, "lam2": "direct2"}, "<="),
+    ({"ar3": 1, "lam3": "c1"}, "<="), ({"br3": 1, "lam3": "c2"}, "<="),
+    ({"ar3": 1, "br3": 1, "lam3": "c12"}, "<="),
+    ({"ra4": 1, "lam4": "c1"}, "<="), ({"rb4": 1, "lam4": "c2"}, "<="),
+    ({"rb5": 1, "lam5": "c2"}, "<="), ({"ab5": 1, "lam5": "c3"}, "<="),
+    ({"rb5": 1, "ab5": 1, "lam5": "c23"}, "<="),
+    ({"ra6": 1, "lam6": "c1"}, "<="), ({"ba6": 1, "lam6": "c3"}, "<="),
+    ({"ra6": 1, "ba6": 1, "lam6": "c13"}, "<="),
+    # relay conservation: it forwards what it decodes
+    ({"ar1": 1, "ar3": 1, "rb5": -1, "rb4": -1}, "="),
+    ({"br2": 1, "br3": 1, "ra6": -1, "ra4": -1}, "="),
+    ({"lam1": 1, "lam2": 1, "lam3": 1, "lam4": 1, "lam5": 1, "lam6": 1}, "="),
 )
-
-
-def _df_matrix(gains: ChannelGains, alpha1: float, alpha2: float):
-    """Constraint system of the six-state DF protocol at a fixed power split.
-
-    Columns: Ra, Rb, lam1..lam6, then the twelve flow variables in
-    ``_DF_FLOWS`` order.  Rows: the two rate compositions, per-state flow
-    caps, the two relay conservation equalities, and the time budget.
-    """
-    caps = link_capacities(gains)
-    bc1_relay, bc1_direct = _df_split_caps(gains.gamma1, gains.gamma3, alpha1)
-    bc2_relay, bc2_direct = _df_split_caps(gains.gamma2, gains.gamma3, alpha2)
-
-    col = {name: 8 + i for i, name in enumerate(_DF_FLOWS)}
-    n = 8 + len(_DF_FLOWS)
-    rows, rel, rhs = [], [], []
-
-    def add(vals: dict, relation: str, b: float = 0.0) -> None:
-        r = np.zeros(n)
-        for j, v in vals.items():
-            r[j] = v
-        rows.append(r)
-        rel.append(relation)
-        rhs.append(b)
-
-    zar1, zab1 = col[("a", "r", 1)], col[("a", "b", 1)]
-    zbr2, zba2 = col[("b", "r", 2)], col[("b", "a", 2)]
-    zar3, zbr3 = col[("a", "r", 3)], col[("b", "r", 3)]
-    zra4, zrb4 = col[("r", "a", 4)], col[("r", "b", 4)]
-    zrb5, zab5 = col[("r", "b", 5)], col[("a", "b", 5)]
-    zra6, zba6 = col[("r", "a", 6)], col[("b", "a", 6)]
-
-    add({0: 1.0, zar1: -1.0, zab1: -1.0, zab5: -1.0, zar3: -1.0}, "=")
-    add({1: 1.0, zbr2: -1.0, zba2: -1.0, zba6: -1.0, zbr3: -1.0}, "=")
-    add({zar1: 1.0, 2: -bc1_relay}, "<=")
-    add({zab1: 1.0, 2: -bc1_direct}, "<=")
-    add({zbr2: 1.0, 3: -bc2_relay}, "<=")
-    add({zba2: 1.0, 3: -bc2_direct}, "<=")
-    add({zar3: 1.0, 4: -caps.c1}, "<=")
-    add({zbr3: 1.0, 4: -caps.c2}, "<=")
-    add({zar3: 1.0, zbr3: 1.0, 4: -caps.c12}, "<=")
-    add({zra4: 1.0, 5: -caps.c1}, "<=")
-    add({zrb4: 1.0, 5: -caps.c2}, "<=")
-    add({zrb5: 1.0, 6: -caps.c2}, "<=")
-    add({zab5: 1.0, 6: -caps.c3}, "<=")
-    add({zrb5: 1.0, zab5: 1.0, 6: -caps.c23}, "<=")
-    add({zra6: 1.0, 7: -caps.c1}, "<=")
-    add({zba6: 1.0, 7: -caps.c3}, "<=")
-    add({zra6: 1.0, zba6: 1.0, 7: -caps.c13}, "<=")
-    add({zar1: 1.0, zar3: 1.0, zrb5: -1.0, zrb4: -1.0}, "=")
-    add({zbr2: 1.0, zbr3: 1.0, zra6: -1.0, zra4: -1.0}, "=")
-    add({j: 1.0 for j in range(2, 8)}, "=", 1.0)
-
-    return np.array(rows), tuple(rel), rhs
-
-
-# (row, column) of the entries of the ray-tied _df_matrix system that the
-# power split sets: minus the _df_split_caps pairs of states 1 and 2
-_DF_SPLIT_ENTRIES = ((2, 1), (3, 1), (4, 2), (5, 2))
+# (row, column) of each of ``_DF_SPLIT_CAPS`` in the ray-tied system, whose
+# column 0 merges Ra and Rb
+_DF_SPLIT_ENTRIES = tuple((row, _DF_COLUMNS.index(col) - 1) for name in _DF_SPLIT_CAPS
+                          for row, (terms, _) in enumerate(_DF_ROWS)
+                          for col, v in terms.items() if v == name)
 # split rates within this relative distance of a grid stage's best are tied
 _DF_TIE_RTOL = 1e-12
 
 
-def _df_split_caps(g_relay: float, g3: float, alpha: float) -> tuple[float, float]:
-    """Relay-bound and direct-link capacities of a broadcast state (1 or 2)
-    whose sender puts power share ``alpha`` on the relay-bound message."""
-    return cap(alpha * g_relay), cap((1.0 - alpha) * g3 / (1.0 + alpha * g3))
+def _df_matrix(gains: ChannelGains) -> System:
+    """The six-state DF system (``_DF_ROWS`` over ``_DF_COLUMNS``), with the
+    power-split entries 0 until a split sets them (``_with_splits``)."""
+    caps = link_capacities(gains)
+    A = np.zeros((len(_DF_ROWS), len(_DF_COLUMNS)))
+    for row, (terms, _) in enumerate(_DF_ROWS):
+        for col, v in terms.items():
+            if v not in _DF_SPLIT_CAPS:
+                A[row, _DF_COLUMNS.index(col)] = -getattr(caps, v) if isinstance(v, str) else v
+    return (A, tuple(rel for _, rel in _DF_ROWS), (0.0,) * (len(_DF_ROWS) - 1) + (1.0,),
+            (1, 2, 3, 4, 5, 6))
+
+
+def _df_splits(gains: ChannelGains, axis1, axis2) -> list[tuple[float, float, list[float]]]:
+    """The splits of ``axis1`` x ``axis2`` in grid order, as (alpha1, alpha2,
+    the values at ``_DF_SPLIT_ENTRIES``): state 1's depend on alpha1 only and
+    state 2's on alpha2 only.  A broadcast state's sender puts power share
+    alpha on the relay-bound message; the direct-link receiver decodes its
+    own message under it as noise."""
+    g3 = gains.gamma3
+    ent1, ent2 = ([(a, [-cap(a * g), -cap((1.0 - a) * g3 / (1.0 + a * g3))])
+                   for a in map(float, axis)]
+                  for g, axis in ((gains.gamma1, axis1), (gains.gamma2, axis2)))
+    return [(a1, a2, e1 + e2) for a1, e1 in ent1 for a2, e2 in ent2]
+
+
+def _with_splits(template: LinearProgram, splits) -> np.ndarray:
+    """The ray-tied DF program's matrix once per split, with its entries set."""
+    rows, cols = zip(*_DF_SPLIT_ENTRIES)
+    mats = np.repeat(template.matrix[None], len(splits), axis=0)
+    mats[:, rows, cols] = [entries for _, _, entries in splits]
+    return mats
 
 
 def _df_point(k: float, gains: ChannelGains, alpha1: float, alpha2: float) -> BoundaryPoint:
-    A, rel, rhs = _df_matrix(gains, alpha1, alpha2)
-    x = lp_optimum(solve_lp(ray_programs(A, rel, rhs)(k)))
+    template = ray_programs(_df_matrix(gains))(k)
+    (A,) = _with_splits(template, _df_splits(gains, [alpha1], [alpha2]))
+    x = lp_optimum(solve_lp(template.with_matrix(A)))
     return _df_boundary_point(k, x, lp_shares(x[1:7]), alpha1, alpha2)
 
 
 def _df_boundary_point(k: float, x: np.ndarray, shares: TimeShares,
                        alpha1: float, alpha2: float) -> BoundaryPoint:
-    flows = {name: float(x[7 + i]) for i, name in enumerate(_DF_FLOWS)}
+    flows = {(f[0], f[1], int(f[2])): float(x[7 + i]) for i, f in enumerate(_DF_FLOWS)}
     return BoundaryPoint(*ray_rates(x[0], k), shares, flows=flows,
                          power_split=PowerSplit(alpha1, alpha2))
 
@@ -335,8 +331,7 @@ def six_state_df_boundary(k: float, gains: ChannelGains, alpha_grid: int = 33,
         return _df_point(k, gains, 1.0, 1.0)
 
     axis = np.linspace(0.0, 1.0, alpha_grid)
-    A, rel, rhs = _df_matrix(gains, 0.0, 0.0)  # the split entries are set per point
-    template = ray_programs(A, rel, rhs)(k)
+    template = ray_programs(_df_matrix(gains))(k)
     best = _df_best(template, gains, axis, axis)
 
     if refine:
@@ -357,17 +352,11 @@ def _df_best(template: LinearProgram, gains: ChannelGains, axis1, axis2):
     The first failing point, in grid order, raises what a point-by-point
     solve of the grid would raise.
     """
-    # state 1's entries depend on alpha1 only and state 2's on alpha2 only
-    g1, g2, g3 = gains.as_tuple()
-    ent1 = [(a, [-c for c in _df_split_caps(g1, g3, a)]) for a in map(float, axis1)]
-    ent2 = [(a, [-c for c in _df_split_caps(g2, g3, a)]) for a in map(float, axis2)]
-    splits = [(a1, a2, e1 + e2) for a1, e1 in ent1 for a2, e2 in ent2]
-    rows, cols = zip(*_DF_SPLIT_ENTRIES)
+    splits = _df_splits(gains, axis1, axis2)
     points = []
     for start in range(0, len(splits), STACK_CHUNK):
         chunk = splits[start:start + STACK_CHUNK]
-        mats = np.repeat(template.matrix[None], len(chunk), axis=0)
-        mats[:, rows, cols] = [entries for _, _, entries in chunk]
+        mats = _with_splits(template, chunk)
         for (a1, a2, _), sol in zip(chunk, solve_lp_stack(template, mats)):
             x = lp_optimum(sol)
             points.append((x, lp_shares(x[1:7]), a1, a2))

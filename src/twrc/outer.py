@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .achievable import lp_optimum, lp_shares, ray_programs
+from .achievable import System, lp_optimum, lp_shares, ray_evaluator
 from .core import (
     ACTIVE_STATE_TOL,
     ChannelGains,
@@ -23,7 +23,6 @@ from .core import (
     ValidationError,
     cap,
     link_capacities,
-    ray_rates,
 )
 from .lp import LinearProgram, SolverError, solve_lp
 
@@ -104,16 +103,6 @@ _STATE_CUTS = (
 )
 
 
-def _cut_rows(caps: LinkCaps) -> np.ndarray:
-    """Per-state capacity coefficients of the four cut constraints: one row per
-    cut, one column per state share (``_STATE_CUTS``)."""
-    rows = np.zeros((4, 6))
-    for state, cuts in enumerate(_STATE_CUTS):
-        for row, name in cuts:
-            rows[row, state] = getattr(caps, name)
-    return rows
-
-
 def _state_rows(caps: LinkCaps, y) -> tuple[float, ...]:
     """The six state rows of the dual program at cut multipliers y = (y1..y4):
     the rate state i carries under y, which the budget multiplier y5 must cover."""
@@ -121,31 +110,31 @@ def _state_rows(caps: LinkCaps, y) -> tuple[float, ...]:
                  for (i, a), (j, b) in _STATE_CUTS)
 
 
-_CUT_SET_RHS = (0.0, 0.0, 0.0, 0.0, 1.0)
-
-
-def _cut_set_matrix(gains: ChannelGains) -> np.ndarray:
-    """The cut-set system over (Ra, Rb, lam1..lam6): the four cut rows, then
-    the time-share budget (rhs ``_CUT_SET_RHS``, all rows ``<=``)."""
+def cut_set_system(gains: ChannelGains) -> System:
+    """The cut-set system over (Ra, Rb, lam1..lam6): the four cut rows of
+    ``_STATE_CUTS`` (a state's share enters a cut it is not in as -0.0), then
+    the time-share budget; every row is ``<=``."""
+    caps = link_capacities(gains)
     A = np.zeros((5, 8))
-    A[0, 0] = A[1, 0] = 1.0
-    A[2, 1] = A[3, 1] = 1.0
-    A[:4, 2:] = -_cut_rows(link_capacities(gains))
-    A[4, 2:] = 1.0
-    return A
+    A[:2, 0] = A[2:4, 1] = A[4, 2:] = 1.0
+    A[:4, 2:] = -0.0
+    for state, cuts in enumerate(_STATE_CUTS, start=2):
+        for row, name in cuts:
+            A[row, state] = -getattr(caps, name)
+    return A, ("<=",) * 5, (0.0,) * 4 + (1.0,), (1, 2, 3, 4, 5, 6)
 
 
 def ratio_bound_lp(k: float, gains: ChannelGains) -> LinearProgram:
     """The per-ray program: maximize Rb over (Rb, lam1..lam6) with Ra = k*Rb inlined.
 
-    It is ``_cut_set_matrix`` with k times the Ra column added into the Rb column.
+    It is ``cut_set_system`` with k times the Ra column added into the Rb column.
     """
     if not (math.isfinite(k) and k >= 0.0):
         raise ValidationError(f"ray ratio k must be finite and >= 0, got {k!r}")
-    A = _cut_set_matrix(gains)
+    A, relations, rhs, _ = cut_set_system(gains)
     A[:, 1] += k * A[:, 0]
     return LinearProgram(objective=np.array([1.0, 0, 0, 0, 0, 0, 0]), matrix=A[:, 1:],
-                         relations=("<=",) * 5, rhs=_CUT_SET_RHS)
+                         relations=relations, rhs=rhs)
 
 
 def weighted_bound_lp(wa: float, wb: float, gains: ChannelGains) -> LinearProgram:
@@ -155,23 +144,19 @@ def weighted_bound_lp(wa: float, wb: float, gains: ChannelGains) -> LinearProgra
             raise ValidationError(f"{name} must be finite and >= 0, got {w!r}")
     if wa == 0.0 and wb == 0.0:
         raise ValidationError("at least one of the weights must be positive")
-    obj = np.zeros(8)
-    obj[0], obj[1] = wa, wb
-    return LinearProgram(objective=obj, matrix=_cut_set_matrix(gains),
-                         relations=("<=",) * 5, rhs=_CUT_SET_RHS)
+    A, relations, rhs, _ = cut_set_system(gains)
+    return LinearProgram(objective=np.array([wa, wb, 0, 0, 0, 0, 0, 0], dtype=float), matrix=A,
+                         relations=relations, rhs=rhs)
 
 
 def outer_evaluator(gains: ChannelGains) -> Callable[[float], OuterPoint]:
-    """k -> the outer-bound point on the ray Ra = k*Rb (k = inf: the Ra axis),
-    from the cut-set system with the ray substituted (``tie_ray``); the
-    channel's program is built once (``ray_programs``)."""
-    program = ray_programs(_cut_set_matrix(gains), ("<=",) * 5, _CUT_SET_RHS)
+    """k -> the outer-bound point on the ray Ra = k*Rb (k = inf: the Ra axis):
+    ``ray_evaluator`` over ``cut_set_system``, with the active states."""
+    evaluate = ray_evaluator(cut_set_system(gains))
 
     def point(k: float) -> OuterPoint:
-        x = lp_optimum(solve_lp(program(k)))
-        shares = lp_shares(x[1:7])
-        ra, rb = ray_rates(x[0], k)
-        return OuterPoint(float(k), ra, rb, shares, shares.active_states(ACTIVE_STATE_TOL))
+        p = evaluate(k)
+        return OuterPoint(float(k), p.ra, p.rb, p.shares, p.shares.active_states(ACTIVE_STATE_TOL))
 
     return point
 

@@ -90,7 +90,9 @@ def sweep_region(evaluator: Callable[[float], object], gains: ChannelGains,
 
 
 def convex_hull(points: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Convex hull (monotone chain), counter-clockwise, no collinear vertices."""
+    """Convex hull (monotone chain), counter-clockwise, with every strict turn
+    kept at any scale; then a vertex within ``_EPS`` of its radius of the chord
+    of its kept neighbours (a round-off kink) is dropped, but never the first."""
     pts = sorted(set((float(x), float(y)) for x, y in points))
     if len(pts) <= 2:
         return pts
@@ -98,17 +100,20 @@ def convex_hull(points: Sequence[tuple[float, float]]) -> list[tuple[float, floa
     def cross(o, a, b):
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= _EPS:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= _EPS:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and cross(out[-2], out[-1], p) <= 0.0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    hull = chain(pts) + chain(reversed(pts))
+    kept = hull[:1]
+    for b, c in zip(hull[1:], hull[2:] + hull[:1]):
+        if cross(kept[-1], b, c) >= _EPS * math.dist(kept[-1], c) * math.hypot(*b):
+            kept.append(b)
+    return kept
 
 
 def support_along_ray(hull: Sequence[tuple[float, float]], theta_deg: float) -> float:

@@ -301,6 +301,84 @@ def paper_system(name, gains):
     return A, rel, np.array([0.0] * (5 + len(unused)) + [1.0])
 
 
+# the DF flows (source, destination, state), grouped by source
+DF_FLOWS = (("a", "r", 1), ("a", "r", 3), ("a", "b", 1), ("a", "b", 5),
+            ("b", "r", 2), ("b", "r", 3), ("b", "a", 2), ("b", "a", 6),
+            ("r", "a", 4), ("r", "a", 6), ("r", "b", 4), ("r", "b", 5))
+
+
+def paper_df_system(gains, alpha1, alpha2):
+    """The six-state DF program at the power split (alpha1, alpha2) over
+    (Ra, Rb, lam1..lam6, the flows of DF_FLOWS), written out from the protocol:
+    rate compositions, per-state flow limits, relay conservation, budget."""
+    c = link_capacities(gains)
+    g1, g2, g3 = gains.as_tuple()
+    # a broadcasting terminal spends power share alpha on the relay-bound
+    # message; the other terminal decodes the direct one under it as noise
+    relay1, direct1 = cap(alpha1 * g1), cap((1.0 - alpha1) * g3 / (1.0 + alpha1 * g3))
+    relay2, direct2 = cap(alpha2 * g2), cap((1.0 - alpha2) * g3 / (1.0 + alpha2 * g3))
+    limits = [  # (state, flows, capacity): the flows fit in lam_state * capacity
+        (1, ["ar1"], relay1), (1, ["ab1"], direct1), (2, ["br2"], relay2), (2, ["ba2"], direct2),
+        (3, ["ar3"], c.c1), (3, ["br3"], c.c2), (3, ["ar3", "br3"], c.c12),
+        (4, ["ra4"], c.c1), (4, ["rb4"], c.c2),
+        (5, ["rb5"], c.c2), (5, ["ab5"], c.c3), (5, ["rb5", "ab5"], c.c23),
+        (6, ["ra6"], c.c1), (6, ["ba6"], c.c3), (6, ["ra6", "ba6"], c.c13),
+    ]
+    col = {f"{s}{d}{state}": 8 + i for i, (s, d, state) in enumerate(DF_FLOWS)}
+    rows, rel = [], []
+    for rate, source in ((0, "a"), (1, "b")):  # a rate is all its source sends
+        row = np.zeros(8 + len(DF_FLOWS))
+        row[rate] = 1.0
+        row[[col[f] for f in col if f[0] == source]] = -1.0
+        rows.append(row)
+        rel.append("=")
+    for state, flows, capacity in limits:
+        row = np.zeros(8 + len(DF_FLOWS))
+        row[[col[f] for f in flows]] = 1.0
+        row[1 + state] = -capacity
+        rows.append(row)
+        rel.append("<=")
+    for source, sink in (("a", "b"), ("b", "a")):  # the relay forwards what it decodes
+        row = np.zeros(8 + len(DF_FLOWS))
+        row[[col[f] for f in col if f[:2] == source + "r"]] = 1.0
+        row[[col[f] for f in col if f[:2] == "r" + sink]] = -1.0
+        rows.append(row)
+        rel.append("=")
+    rows.append(np.r_[[0.0, 0.0], np.ones(6), np.zeros(len(DF_FLOWS))])
+    rel.append("=")
+    return np.array(rows), tuple(rel), np.r_[np.zeros(len(rows) - 1), 1.0]
+
+
+# power splits (alpha1, alpha2) at which _df_point is checked
+DF_SPLITS = ((1.0, 1.0), (0.0, 0.5), (0.7, 0.2), (0.5, 0.0))
+
+
+def df_off_highs(g, splits, ks):
+    """The (split, k) at which _df_point's rate is off HiGHS's on
+    ``paper_df_system`` by more than 1e-6 relative, or its point breaks a row
+    by more than 1e-7 of the row's size."""
+    off = []
+    for a1, a2 in splits:
+        A, rel, rhs = paper_df_system(g, a1, a2)
+        # capacities in units of the largest, for HiGHS's absolute
+        # tolerances; rates and flows in that unit, shares in 1
+        c = np.abs(A[:-1, 2:8]).max()
+        scaled = A.copy()
+        scaled[:-1, 2:8] /= c
+        unit = np.r_[[c, c], np.ones(6), [c] * len(DF_FLOWS)]
+        for k in ks:
+            ref = highs_ray_rate(scaled, rel, rhs, k)[0] * c
+            p = _df_point(k, g, a1, a2)
+            x = np.array([p.ra, p.rb, *p.shares.as_tuple(), *(p.flows[f] for f in DF_FLOWS)])
+            resid = A @ x - rhs
+            eq = np.array(rel) == "="
+            resid[eq] = np.abs(resid[eq])
+            if (abs(p.rb - ref) > 1e-6 * max(ref, 1e-9 * c)
+                    or (resid > 1e-7 * (np.abs(A) @ unit + rhs)).any()):
+                off.append((g, a1, a2, k, p.rb, ref))
+    return off
+
+
 class TestAgainstHighs:
     # where the ray substitution first went wrong: k = 1e6 across 0..70 dB
     # and k = 1 across -50..-30 dB, 20 channels per 10-dB band of gamma2
@@ -324,6 +402,20 @@ class TestAgainstHighs:
                             or (resid > 1e-7 * (np.abs(A) @ unit + rhs)).any()):
                         off.append((name, g, p.rb, ref))
         assert off == []
+
+    def test_df_point_matches_highs(self):
+        # _df_point at fixed splits, gamma2 over -20..70 dB; gamma3 = 1e-12*gamma1
+        # is left out, where the simplex breaks down (see CHANGES.md)
+        rng = np.random.default_rng(11)
+        off = [case for band in range(-20, 70, 20) for g in band_channels(rng, band, band + 20, 3)
+               for case in df_off_highs(g, DF_SPLITS, (0.0, 0.3, 1.0, 2.5))]
+        assert off == []
+
+    @pytest.mark.xfail(strict=True, reason="the simplex overfills state 6's cap by 3e-6 relative")
+    def test_df_point_below_minus_20_db(self):
+        # (-37.4, -27.4, -55.5) dB at k = 0: 2.5e-6 above HiGHS (see CHANGES.md)
+        g = validate_gains(1.8137803002960304e-4, 1.807758472087659e-3, 2.8450480643995714e-6)
+        assert df_off_highs(g, [(1.0, 1.0)], [0.0]) == []
 
 
 class TestCrossProtocolProperties:
@@ -388,8 +480,7 @@ class TestCrossProtocolProperties:
 # LP id -> channel -> its ray system (matrix, relations, rhs, states), as the
 # evaluators state it
 LP_SYSTEMS = {
-    "outer": lambda g: (outer._cut_set_matrix(g), ("<=",) * 5, outer._CUT_SET_RHS,
-                        (1, 2, 3, 4, 5, 6)),
+    "outer": outer.cut_set_system,
     "mabc": achievable.mabc_system,
     "tdbc": lambda g: achievable.hbc_system(g, tdbc_only=True),
     "hbc": achievable.hbc_system,

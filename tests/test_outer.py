@@ -23,6 +23,7 @@ from twrc import (
     validate_gains,
     weighted_bound_lp,
 )
+import twrc.achievable
 import twrc.outer
 from conftest import highs_ray_rate, random_gains, weighted_ray_bound, wide_channels
 
@@ -94,8 +95,8 @@ class TestRatioBound:
         # for k <= 1 the ray substituted into the cut-set system is the
         # per-ray program as the paper prints it, bit for bit
         solved = []
-        real = twrc.outer.solve_lp
-        monkeypatch.setattr(twrc.outer, "solve_lp", lambda lp: solved.append(lp) or real(lp))
+        real = twrc.achievable.solve_lp
+        monkeypatch.setattr(twrc.achievable, "solve_lp", lambda lp: solved.append(lp) or real(lp))
         for g in (case_a, low_snr, validate_gains(0.0, 0.0, 0.0)):
             for k in (0.0, 0.3, 1.0):
                 solved.clear()

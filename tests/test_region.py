@@ -3,16 +3,20 @@ import math
 import pytest
 
 from twrc import (
+    PRESETS,
     BoundaryPoint,
     GainsMismatchError,
     ValidationError,
     ZERO_SHARES,
     contains,
     convex_hull,
+    db_to_linear,
     hausdorff_distance,
     max_radial_gap,
     outer_ratio_bound,
+    preset_scenario,
     protocol_evaluator,
+    six_state_df_boundary,
     support_along_ray,
     sweep_region,
     symmetric_rate,
@@ -144,7 +148,38 @@ class TestRadialGap:
         assert 0.0 <= theta <= 90.0
 
 
+# the presets, and low-snr moved down by 40, 50 and 60 dB, where the rates
+# are near 1e-5 .. 1e-7 bit
+HULL_CHANNELS = {p: preset_scenario(p).gains() for p in sorted(PRESETS)}
+HULL_CHANNELS.update({f"low-snr{off}": validate_gains(
+    *(db_to_linear(x + off) for x in (0.0, 5.0, -7.0))) for off in (-40, -50, -60)})
+
+
 class TestHullGeometry:
+    @pytest.mark.parametrize("name", sorted(HULL_CHANNELS))
+    def test_hull_keeps_every_swept_point(self, name):
+        # a real vertex lost to the hull leaves its swept point outside it;
+        # DF, the costly family, on a coarser sweep without refinement
+        g = HULL_CHANNELS[name]
+        sweeps = {pid: (protocol_evaluator(pid, g), 91)
+                  for pid in ("outer", "mabc", "tdbc", "hbc", "six-state", "comabc")}
+        sweeps["six-state-df"] = (
+            lambda k: six_state_df_boundary(k, g, alpha_grid=2, refine=False), 31)
+        for pid, (evaluate, theta_points) in sweeps.items():
+            reg = sweep_region(evaluate, g, theta_points)
+            for p, theta in zip(reg.points, reg.thetas_deg):
+                assert math.hypot(p.ra, p.rb) <= reg.supports[theta] * (1.0 + 1e-12), (pid, theta)
+
+    def test_hull_keeps_corners_at_any_scale(self):
+        # the top corner of a vertical edge whose middle point lies 1 ulp out,
+        # and a square whose turns are far below any absolute tolerance
+        up = math.nextafter(1.0, 2.0)
+        hull = convex_hull([(0.0, 0.0), (1.0, 0.0), (up, 0.5), (1.0, 1.0), (0.0, 1.0)])
+        assert hull == [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+        s = 1e-7
+        square = [(0.0, 0.0), (s, 0.0), (s, s), (0.0, s)]
+        assert convex_hull(square + [(s / 2, s / 2), (s, s / 3)]) == square
+
     def test_hull_idempotent(self, case_a):
         reg = sweep_region(protocol_evaluator("outer", case_a), case_a, 61)
         again = convex_hull(list(reg.hull) + [(0.0, 0.0)])
