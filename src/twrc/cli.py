@@ -3,7 +3,7 @@
 Gains are given in dB at this boundary only.  All emitted numbers carry 12
 significant digits so repeated runs diff clean.
 
-Scenario file format (flat key = value lines, '#' comments):
+Scenario file format (flat key = value lines, each key at most once, '#' comments):
 
     name = my-case
     gamma1_db = 10
@@ -48,7 +48,7 @@ from .outer import (
     outer_evaluator,
     outer_ratio_bound,  # noqa: F401 -- perfbench/spans.py wraps cli's binding
 )
-from .region import Region, SweepError, max_radial_gap, sweep_region, symmetric_rate
+from .region import Region, SweepError, max_radial_gap, ray_ratio, sweep_region, symmetric_rate
 
 SCHEMA_VERSION = 1
 
@@ -171,6 +171,8 @@ def load_scenario(path: str | Path) -> Scenario:
             raise ValidationError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
+        if key in fields:
+            raise ValidationError(f"{path}:{lineno}: duplicate key {key!r}")
         if key == "name" or key == "outputs":
             fields[key] = value
         elif key in _FLOAT_KEYS or key in _INT_KEYS:
@@ -208,10 +210,7 @@ def _region_csv(reg: Region, mirrored: bool) -> str:
             theta = 90.0 - theta
             ra, rb = rb, ra
             lams = (lams[1], lams[0], lams[2], lams[3], lams[5], lams[4])
-        k = math.inf if theta == 90.0 else math.tan(math.radians(theta))
-        if theta == 45.0:
-            k = 1.0
-        rows.append((theta, k, ra, rb, *lams, len(p.shares.active_states())))
+        rows.append((theta, ray_ratio(theta), ra, rb, *lams, len(p.shares.active_states())))
     rows.sort(key=lambda r: r[0])
     lines = [_CSV_HEADER]
     for r in rows:
@@ -289,6 +288,8 @@ def run_thresholds(gamma2_db_range: tuple[float, float, float],
     if not (math.isfinite(step) and step > 0.0):
         raise ValidationError(f"range step must be > 0, got {step}")
     c_values = tuple(float(c) for c in c_values)
+    if not c_values:
+        raise ValidationError("no c values given: need at least one c = gamma1/gamma2 in (0, 1]")
     for c in c_values:
         if not 0.0 < c <= 1.0:
             raise ValidationError(f"c must lie in (0, 1], got {c}")
@@ -330,8 +331,9 @@ def _scenario_from_args(args, protocols=None) -> Scenario:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--scenario", help="path to a scenario file")
-    p.add_argument("--preset", help="named preset: " + ", ".join(PRESETS))
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--scenario", help="path to a scenario file")
+    source.add_argument("--preset", help="named preset: " + ", ".join(PRESETS))
     p.add_argument("--theta-points", type=int, default=None, dest="theta_points")
     p.add_argument("--alpha-grid", type=int, default=None, dest="alpha_grid")
     p.add_argument("--auto-swap", action=argparse.BooleanOptionalAction, default=True,

@@ -30,9 +30,9 @@ Programs that differ only in their matrix share the rest of their set-up.
 checking only the new matrix (the check ``solve_lp_stack`` applies to its
 stack), so a sweep builds one program per channel and derives one per ray.
 The part of the phase-1 start that the matrix does not touch (the slack,
-artificial and rhs entries, both costs and the feasibility limit) is built
-once per (bounds, relations, rhs, objective, sense) and cached (``_start``):
-a solve copies it and fills in the matrix columns.
+artificial and rhs entries, the phase-1 cost and the feasibility limit) is
+built once per (bounds, relations, rhs) and cached (``_start``): a solve
+copies it, fills in the matrix columns and builds its phase-2 cost.
 """
 
 from __future__ import annotations
@@ -84,12 +84,12 @@ class LinearProgram:
 
     def __post_init__(self) -> None:
         obj = np.atleast_1d(np.asarray(self.objective, dtype=float))
+        rel = tuple(self.relations)
         mat = np.asarray(self.matrix, dtype=float)
         if mat.size == 0:
-            mat = np.zeros((len(tuple(self.relations)), obj.size))
-        mat = np.atleast_2d(mat)
+            mat = np.zeros((len(rel), obj.size))
         rhs = np.atleast_1d(np.asarray(self.rhs, dtype=float))
-        rel = tuple(self.relations)
+        mat = _checked(np.atleast_2d(mat), (len(rel), obj.size), False)
         object.__setattr__(self, "objective", obj)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "rhs", rhs)
@@ -97,18 +97,13 @@ class LinearProgram:
 
         if self.sense not in ("max", "min"):
             raise ValidationError(f"sense must be 'max' or 'min', got {self.sense!r}")
-        if mat.shape != (len(rel), obj.size):
-            raise ValidationError(
-                f"matrix shape {mat.shape} does not match "
-                f"{len(rel)} relations x {obj.size} objective coefficients"
-            )
         if rhs.size != len(rel):
             raise ValidationError(f"rhs length {rhs.size} != {len(rel)} relations")
         for r in rel:
             if r not in _RELATIONS:
                 raise ValidationError(f"unknown relation {r!r}")
-        if not (np.isfinite(obj).all() and np.isfinite(mat).all() and np.isfinite(rhs).all()):
-            raise ValidationError("objective, matrix and rhs must be finite")
+        if not (np.isfinite(obj).all() and np.isfinite(rhs).all()):
+            raise ValidationError("objective and rhs must be finite")
 
         bounds = tuple(self.bounds)
         if bounds:  # the empty default, all non-negative, is valid by construction
@@ -197,11 +192,12 @@ def solve_lp_stack(template: LinearProgram, matrices) -> list[LpSolution | Solve
 
 def _checked(matrices, shape: tuple[int, int], stacked: bool) -> np.ndarray:
     """``matrices`` as floats, one (m, n) matrix or, if ``stacked``, a (B, m, n)
-    stack; rejected unless (m, n) is ``shape`` and every entry is finite."""
+    stack; rejected unless (m, n) is ``shape`` (rows x variables) and every
+    entry is finite."""
     mats = np.asarray(matrices, dtype=float)
     what = "matrix stack" if stacked else "matrix"
     if mats.ndim != 2 + stacked or mats.shape[-2:] != shape:
-        raise ValidationError(f"{what} shape {mats.shape} does not match the template's {shape}")
+        raise ValidationError(f"{what} shape {mats.shape} does not match the program's {shape}")
     if not np.isfinite(mats).all():
         raise ValidationError(f"{what} must be finite")
     return mats
@@ -209,9 +205,10 @@ def _checked(matrices, shape: tuple[int, int], stacked: bool) -> np.ndarray:
 
 def _solve_chunk(lp: LinearProgram, mats: np.ndarray) -> list[LpSolution | SolverError]:
     """The two-phase simplex on a (B, m, n) stack of ``lp``'s programs."""
-    ((var, _, scale, s_j, s_k, s_sign, f_j, f_k, row_sign, _, _, _, ident_col, artificial),
-     block, cost1, cost2, limit) = _start(lp.bounds, lp.relations, lp.rhs.tobytes(),
-                                          lp.objective.tobytes(), lp.sense)
+    (var, sign, scale, s_j, s_k, s_sign, f_j, f_k, row_sign, ident_col, artificial,
+     block, cost1, limit) = _start(lp.bounds, lp.relations, lp.rhs.tobytes())
+    cost2 = np.zeros(artificial.size)
+    cost2[:var.size] = sign * ((1.0 if lp.sense == "max" else -1.0) * lp.objective[var])
     # the start tableau: the cached block, then the matrix columns of the rewrite
     table = np.empty(mats.shape[:-1] + block.shape[-1:])
     table[...] = block
@@ -287,11 +284,7 @@ def _run_simplex(table: np.ndarray, basis: np.ndarray, cost: np.ndarray, allowed
     """
     if len(table) > 1:
         return _simplex_stack(table, basis, cost, allowed)
-    try:
-        outcome = _simplex(table[0], basis[0], cost, allowed)
-    except SolverError as exc:
-        outcome = exc
-    return np.zeros(1, dtype=int), [outcome]
+    return np.zeros(1, dtype=int), [_simplex(table[0], basis[0], cost, allowed)]
 
 
 def _no_optimum(lp: LinearProgram, status: str) -> LpSolution:
@@ -303,41 +296,19 @@ def _no_optimum(lp: LinearProgram, status: str) -> LpSolution:
 
 
 @functools.lru_cache(maxsize=256)
-def _start(bounds: tuple, relations: tuple, rhs: bytes, objective: bytes, sense: str):
-    """The phase-1 start of the programs with these fields (``rhs`` and
-    ``objective`` as float64 bytes), built once and cached read-only.
-
-    Returns (``_layout``, block, phase-1 cost, phase-2 cost, feasibility
-    limit): block is the (m, w) start tableau with zero matrix columns, which
-    a solve copies and then fills in; the start basis is each row's identity
-    column.
-    """
-    b = np.frombuffer(rhs)
-    layout = _layout(bounds, relations, (b < 0.0).tobytes())
-    var, sign, _, _, _, _, _, _, row_sign, rows, cols, vals, _, artificial = layout
-    block = np.zeros((len(relations), artificial.size + 1))
-    block[rows, cols] = vals
-    block[:, -1] = b * row_sign
-    cost1 = np.where(artificial, -1.0, 0.0)
-    cost2 = np.zeros(artificial.size)
-    cost2[:var.size] = sign * ((1.0 if sense == "max" else -1.0) * np.frombuffer(objective)[var])
-    for a in (block, cost1, cost2):
-        a.flags.writeable = False
-    limit = FEASIBILITY_TOL * max(1.0, float(np.abs(b).max(initial=0.0)))
-    return layout, block, cost1, cost2, limit
-
-
-@functools.lru_cache(maxsize=256)
-def _layout(bounds: tuple, relations: tuple, flipped: bytes) -> tuple[np.ndarray, ...]:
-    """The columns of ``_start``, as read-only arrays cached for the programs
-    that share them; ``flipped`` marks the rows whose rhs is negative, as
-    bytes of bools.
+def _start(bounds: tuple, relations: tuple, rhs: bytes) -> tuple:
+    """The phase-1 start of the programs with these fields (``rhs`` as float64
+    bytes), built once and cached as read-only arrays.
 
     The program is rewritten over non-negative variables u in maximization
     form: a non-negative variable keeps its column, a non-positive one is
     x = -u and a free one is split into x = u+ - u-.  Rows are flipped to a
     non-negative rhs, then get one slack per inequality and one artificial
-    per row that has no +1 slack.
+    per row that has no +1 slack.  Returns (var, sign, scale, s_j, s_k,
+    s_sign, f_j, f_k, row_sign, ident_col, artificial, block, phase-1 cost,
+    feasibility limit): block is the (m, w) start tableau with zero matrix
+    columns, which a solve copies and then fills in; the start basis is each
+    row's identity column.
     """
     var, sign = [], []       # column k of the rewrite is sign[k] * x[var[k]]
     single, split = [], []   # (j, k): x_j = sign[k] * u_k; (j, k): x_j = u_k - u_k+1
@@ -349,9 +320,9 @@ def _layout(bounds: tuple, relations: tuple, flipped: bytes) -> tuple[np.ndarray
         if lo == -_INF:
             var.append(j)
             sign.append(-1.0)
-    flip = np.frombuffer(flipped, dtype=bool)
+    b = np.frombuffer(rhs)
     swap = {"<=": ">=", ">=": "<=", "=": "="}
-    rel = [swap[r] if f else r for r, f in zip(relations, flip)]
+    rel = [swap[r] if f else r for r, f in zip(relations, b < 0.0)]
     slack = [i for i, r in enumerate(rel) if r != "="]
     art = [i for i, r in enumerate(rel) if r != "<="]  # rows with no +1 slack
     first_art = len(var) + len(slack)  # the first artificial column
@@ -362,18 +333,25 @@ def _layout(bounds: tuple, relations: tuple, flipped: bytes) -> tuple[np.ndarray
     sign = np.array(sign)
     s_j, s_k = np.array(single, dtype=int).reshape(-1, 2).T
     f_j, f_k = np.array(split, dtype=int).reshape(-1, 2).T
-    vals = [1.0 if rel[i] == "<=" else -1.0 for i in slack] + [1.0] * len(art)
-    row_sign = np.where(flip, -1.0, 1.0)
-    layout = (np.array(var, dtype=int), sign, row_sign[:, None] * sign, s_j, s_k, sign[s_k],
-              f_j, f_k, row_sign, np.array(slack + art, dtype=int), cols,
-              np.array(vals), ident_col, np.arange(first_art + len(art)) >= first_art)
-    for a in layout:
+    row_sign = np.where(b < 0.0, -1.0, 1.0)
+    artificial = np.arange(first_art + len(art)) >= first_art
+    block = np.zeros((len(rel), artificial.size + 1))
+    block[np.array(slack + art, dtype=int), cols] = (
+        [1.0 if rel[i] == "<=" else -1.0 for i in slack] + [1.0] * len(art))
+    block[:, -1] = b * row_sign
+    start = (np.array(var, dtype=int), sign, row_sign[:, None] * sign, s_j, s_k, sign[s_k],
+             f_j, f_k, row_sign, ident_col, artificial, block, np.where(artificial, -1.0, 0.0))
+    for a in start:
         a.flags.writeable = False
-    return layout
+    return start + (FEASIBILITY_TOL * max(1.0, float(np.abs(b).max(initial=0.0))),)
 
 
-def _simplex(table: np.ndarray, basis: np.ndarray, cost: np.ndarray, allowed: np.ndarray) -> str:
-    """Run primal simplex iterations in place; the start basis must be feasible."""
+def _simplex(table: np.ndarray, basis: np.ndarray, cost: np.ndarray,
+             allowed: np.ndarray) -> str | SolverError:
+    """Run primal simplex iterations in place; the start basis must be feasible.
+
+    Returns "optimal", "unbounded", or the ``SolverError`` of a breakdown.
+    """
     m, w = table.shape
     A, rhs, c = table[:, :w - 1], table[:, -1], cost[:w - 1]
     cand = np.nonzero(allowed)[0].tolist()
@@ -391,7 +369,7 @@ def _simplex(table: np.ndarray, basis: np.ndarray, cost: np.ndarray, allowed: np
         rows = [r for r in range(m) if col[r] > _RATIO_ELIG_TOL]
         if not rows:
             if any(v > PIVOT_TOL for v in col):
-                raise SolverError("only near-singular pivots available")
+                return SolverError("only near-singular pivots available")
             return "unbounded"
         step = min([(b[r] + _HARRIS_TOL) / col[r] for r in rows])
         ties = [r for r in rows if b[r] / col[r] <= step]
@@ -400,20 +378,12 @@ def _simplex(table: np.ndarray, basis: np.ndarray, cost: np.ndarray, allowed: np
         least = max([col[r] for r in ties]) * (1.0 - 1e-9)
         i = min([r for r in ties if col[r] >= least], key=bas.__getitem__)
 
-        _pivot(table, basis, i, j)
-        bas[i] = j
+        row = table[i] / table[i, j]  # col[i] > _RATIO_ELIG_TOL > PIVOT_TOL
+        table -= table[:, j, None] * row
+        table[i] = row
+        basis[i] = bas[i] = j
         np.maximum(rhs, 0.0, out=rhs)
-    raise SolverError("simplex exceeded the pivot budget (numerical breakdown)")
-
-
-def _pivot(table: np.ndarray, basis: np.ndarray, i: int, j: int) -> None:
-    piv = table[i, j]
-    if abs(piv) < PIVOT_TOL:
-        raise SolverError(f"pivot element {piv!r} below tolerance")
-    row = table[i] / piv
-    table -= table[:, j, None] * row
-    table[i] = row
-    basis[i] = j
+    return SolverError("simplex exceeded the pivot budget (numerical breakdown)")
 
 
 def _simplex_stack(table: np.ndarray, basis: np.ndarray, cost: np.ndarray,
@@ -424,8 +394,7 @@ def _simplex_stack(table: np.ndarray, basis: np.ndarray, cost: np.ndarray,
     A program that finishes is swapped behind those still pivoting, so the
     stack ends permuted: returns (order, outcome), where slot ``s`` of
     ``table`` and ``basis`` holds the final state of program ``order[s]`` and
-    ``outcome[s]`` is "optimal", "unbounded", or the ``SolverError`` that
-    ``_simplex`` raises for it.
+    ``outcome[s]`` is what ``_simplex`` returns for it.
     """
     ncols = table.shape[2] - 1
     order = np.arange(len(table))
@@ -492,7 +461,7 @@ def _partition(table, basis, order, going):
 
 def _pivot_stack(T: np.ndarray, bas: np.ndarray, i: np.ndarray, j: np.ndarray,
                  scratch: np.ndarray) -> None:
-    """``_pivot`` on row ``i[r]``, column ``j[r]`` of every program ``r``.
+    """``_simplex``'s pivot on row ``i[r]``, column ``j[r]`` of every program ``r``.
 
     ``scratch`` is at least as long as ``T``; reusing it across pivots saves
     allocating (and page-faulting) a tableau-sized update each time.

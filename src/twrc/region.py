@@ -47,25 +47,28 @@ class Region:
         return {theta: support_along_ray(self.hull, theta) for theta in self.thetas_deg}
 
 
-def ray_grid(theta_points: int) -> list[tuple[float, float]]:
-    """The sweep grid as (theta_deg, k) pairs, including both axis endpoints.
+def ray_ratio(theta_deg: float) -> float:
+    """The ray ratio k = Ra/Rb = tan(theta) of a ray angle, exact on the
+    symmetric ray (45 -> 1) and the Ra axis (90 -> inf)."""
+    if theta_deg == 90.0:
+        return math.inf
+    return 1.0 if theta_deg == 45.0 else math.tan(math.radians(theta_deg))
 
-    ``theta_points`` interior angles span [0.5, 89.5] degrees uniformly;
-    k = tan(theta), with the endpoints handled as k = 0 and k = inf.
+
+def ray_grid(theta_points: int) -> list[tuple[float, float]]:
+    """The sweep grid as (theta_deg, ``ray_ratio``) pairs, including both axis
+    endpoints 0 and 90 degrees.
+
+    ``theta_points`` interior angles span [0.5, 89.5] degrees uniformly; one
+    within 1e-9 of 45 degrees is snapped to the symmetric ray.
     """
     if theta_points < 3:
         raise ValidationError(f"theta_points must be >= 3, got {theta_points}")
     lo, hi = 0.5, 89.5
     step = (hi - lo) / (theta_points - 1)
-    rays = [(0.0, 0.0)]
-    for i in range(theta_points):
-        theta = lo + i * step
-        if abs(theta - 45.0) < 1e-9:
-            rays.append((45.0, 1.0))  # keep the symmetric ray exact
-        else:
-            rays.append((theta, math.tan(math.radians(theta))))
-    rays.append((90.0, math.inf))
-    return rays
+    interior = (lo + i * step for i in range(theta_points))
+    thetas = [0.0] + [45.0 if abs(t - 45.0) < 1e-9 else t for t in interior] + [90.0]
+    return [(theta, ray_ratio(theta)) for theta in thetas]
 
 
 def sweep_region(evaluator: Callable[[float], object], gains: ChannelGains,

@@ -224,6 +224,13 @@ class TestThresholdsCsv:
         assert "--c-values" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    def test_empty_c_values_is_2(self, tmp_path, capsys):
+        rc = main(["thresholds", "--gamma2-db", "0:0:1", "--c-values", "",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "at least one c" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_rejects_bad_range(self, tmp_path):
         with pytest.raises(ValidationError):
             run_thresholds((10.0, 5.0, 1.0), (1.0,), tmp_path / "x.csv")
@@ -248,6 +255,31 @@ class TestMainExitCodes:
     def test_unknown_preset_is_2(self, tmp_path, capsys):
         rc = main(["outer", "--preset", "nope", "--out", str(tmp_path)])
         assert rc == 2
+
+    def test_duplicate_scenario_key_is_2(self, tmp_path, capsys):
+        f = tmp_path / "dup.cfg"
+        f.write_text("name = x\ngamma1_db = 10\ngamma2_db = 15\ngamma3_db = 3\n"
+                     "gamma1_db = 12\n")
+        rc = main(["compare", "--scenario", str(f), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "dup.cfg:5: duplicate key 'gamma1_db'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_scenario_with_preset_is_2(self, tmp_path, capsys):
+        f = tmp_path / "s.cfg"
+        f.write_text("name = x\ngamma1_db = 10\ngamma2_db = 15\ngamma3_db = 3\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--scenario", str(f), "--preset", "case-b",
+                  "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_neither_scenario_nor_preset_is_2(self, tmp_path, capsys):
+        rc = main(["compare", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "provide either --scenario FILE or --preset NAME" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_io_error_is_4(self, tmp_path, capsys, monkeypatch):
         blocker = tmp_path / "blocker"

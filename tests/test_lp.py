@@ -361,6 +361,18 @@ def test_derived_program_equals_a_fresh_one():
     assert {"optimal", "infeasible", "unbounded"} <= statuses
 
 
+def test_one_cached_start_serves_every_objective(case_a):
+    # the phase-1 start is keyed on bounds, relations and rhs only, so a new
+    # objective on the same channel (a weighted-sum bound) reuses it
+    import twrc.lp as lp_module
+
+    lp_module._start.cache_clear()
+    outer.outer_weighted_bound(1.0, 1.0, case_a)
+    outer.outer_weighted_bound(1.0, 0.3, case_a)
+    info = lp_module._start.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 def test_derived_program_rejects_a_bad_matrix():
     t = LinearProgram([1.0, 1.0], [[1.0, 1.0]], ("<=",), [1.0])
     for bad in (np.ones((1, 3)), np.ones((2, 2)), np.ones((1, 1, 2)),
