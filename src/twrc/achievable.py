@@ -84,11 +84,20 @@ def ray_programs(system: System) -> Callable[[float], LinearProgram]:
 
 def ray_evaluator(system: System) -> Callable[[float], BoundaryPoint]:
     """k -> the boundary point of a protocol system on the ray Ra = k*Rb; every
-    state not in the system's ``states`` gets share 0."""
+    state not in the system's ``states`` gets share 0.
+
+    Each ray hands the previous ray's optimal basis to ``solve_lp``: along a
+    sweep the basis changes only at the region's few vertices, so most rays
+    are read from it without pivoting.
+    """
     program, states = ray_programs(system), system[3]
+    last: tuple[int, ...] = ()
 
     def point(k: float) -> BoundaryPoint:
-        x = lp_optimum(solve_lp(program(k)))
+        nonlocal last
+        sol = solve_lp(program(k), basis=last)
+        x = lp_optimum(sol)
+        last = sol.basis
         lam = [0.0] * 6
         for state, share in zip(states, x[1:]):
             lam[state - 1] = share

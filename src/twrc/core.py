@@ -178,6 +178,8 @@ def link_capacities(gains: ChannelGains) -> LinkCaps:
 
 
 _SHARE_TOL = 1e-9
+_SHARE_MAX = 1.0 + _SHARE_TOL
+_SHARE_FIELDS = ("lambda1", "lambda2", "lambda3", "lambda4", "lambda5", "lambda6")
 ACTIVE_STATE_TOL = 1e-7  # a state whose time share exceeds this is reported active
 
 
@@ -193,16 +195,20 @@ class TimeShares:
     lambda6: float
 
     def __post_init__(self) -> None:
-        total = 0.0
+        # one pass: check each share and clamp its LP round-off, so downstream
+        # consumers see clean fractions; a float in range needs no other test
+        total, clamped = 0.0, []
         for i, v in enumerate(self.as_tuple(), start=1):
-            if not _finite(v) or v < -_SHARE_TOL or v > 1.0 + _SHARE_TOL:
-                raise ValidationError(f"lambda{i} must lie in [0, 1], got {v!r}")
-            v = max(float(v), 0.0)
+            if type(v) is not float or not -_SHARE_TOL <= v <= _SHARE_MAX:
+                if not _finite(v) or not -_SHARE_TOL <= v <= _SHARE_MAX:
+                    raise ValidationError(f"lambda{i} must lie in [0, 1], got {v!r}")
+                v = float(v)
+            v = v if v >= 0.0 else 0.0
             total += v
-            # clamp LP round-off so downstream consumers see clean fractions
-            self.__dict__[f"lambda{i}"] = min(v, 1.0)  # the frozen fields, set once
-        if total > 1.0 + _SHARE_TOL:
+            clamped.append(v if v <= 1.0 else 1.0)
+        if total > _SHARE_MAX:
             raise ValidationError(f"time shares sum to {total}, above 1")
+        self.__dict__.update(zip(_SHARE_FIELDS, clamped))  # the frozen fields, set once
 
     @classmethod
     def from_sequence(cls, values) -> "TimeShares":

@@ -25,6 +25,16 @@ costs about 18 us against 88 us for a lockstep stack of one.  Both loops
 apply the same rules, so each result equals the program solved alone, bit
 for bit; the stack only saves interpreter overhead.
 
+A program may also start from a known basis: ``solve_lp(lp, basis)`` takes
+an earlier solution's basis (in a sweep, the previous ray's, which stays
+optimal everywhere but at the region's few vertices).  ``_reused`` inverts
+that basis once and accepts it only as a certified, unique optimum: the
+vertex must meet every row relative to the row's size and every non-basic
+reduced cost must be below ``-_COST_TOL``.  An accepted basis gives the
+point, value and duals without pivoting; they match the cold solve to
+round-off, within 1e-12 relative on every preset ray, but not bit for bit.
+Otherwise the program is solved cold, exactly as without a basis.
+
 Programs that differ only in their matrix share the rest of their set-up.
 ``LinearProgram.with_matrix`` derives such a program from a validated one,
 checking only the new matrix (the check ``solve_lp_stack`` applies to its
@@ -50,6 +60,11 @@ PIVOT_TOL = 1e-12
 _RATIO_ELIG_TOL = 1e-9  # pivots smaller than this amplify round-off too much
 _HARRIS_TOL = 1e-12  # how far below zero a ratio-test step may push a basic variable
 _COST_TOL = 1e-10
+# a reused basis's vertex must meet each standardized row to this share of the
+# row's size, |A u - b| <= _REUSE_TOL * (|A| u + |b|): an absolute limit lets
+# an infeasible basis through on programs whose entries are all tiny
+_REUSE_TOL = 1e-11
+_EPS = np.finfo(float).eps
 _MAX_PIVOTS = 20_000
 STACK_CHUNK = 256  # programs per lockstep tableau in solve_lp_stack
 
@@ -158,14 +173,23 @@ class LpSolution:
         return self.status == "optimal"
 
 
-def solve_lp(lp: LinearProgram) -> LpSolution:
+def solve_lp(lp: LinearProgram, basis: tuple[int, ...] = ()) -> LpSolution:
     """Solve a dense LP with the deterministic two-phase primal simplex.
 
     Returns a vertex optimum with its basis and per-row dual multipliers.
     The pivot rule is fixed, so identical inputs give bit-identical output.
     This is ``solve_lp_stack``'s solve routine on a stack of one program,
     pivoting in ``_simplex``; a numerical breakdown raises its ``SolverError``.
+
+    ``basis`` may be an earlier solution's ``LpSolution.basis``, such as the
+    neighbouring ray's.  If ``_reused`` certifies it as this program's unique
+    optimal basis, the solution is read from it without pivoting; otherwise
+    the program is solved cold, as without it.
     """
+    if basis:
+        sol = _reused(lp, basis)
+        if sol is not None:
+            return sol
     sol = _solve_chunk(lp, lp.matrix[None])[0]
     if isinstance(sol, SolverError):
         raise sol
@@ -207,8 +231,7 @@ def _solve_chunk(lp: LinearProgram, mats: np.ndarray) -> list[LpSolution | Solve
     """The two-phase simplex on a (B, m, n) stack of ``lp``'s programs."""
     (var, sign, scale, s_j, s_k, s_sign, f_j, f_k, row_sign, ident_col, artificial,
      block, cost1, limit) = _start(lp.bounds, lp.relations, lp.rhs.tobytes())
-    cost2 = np.zeros(artificial.size)
-    cost2[:var.size] = sign * ((1.0 if lp.sense == "max" else -1.0) * lp.objective[var])
+    cost2 = _phase2_cost(lp, var, sign, artificial.size)
     # the start tableau: the cached block, then the matrix columns of the rewrite
     table = np.empty(mats.shape[:-1] + block.shape[-1:])
     table[...] = block
@@ -253,10 +276,7 @@ def _solve_chunk(lp: LinearProgram, mats: np.ndarray) -> list[LpSolution | Solve
         progs = progs[order]
         U = np.zeros((len(T), ncols))
         U[np.arange(len(T))[:, None], bas] = T[:, :, -1]
-        X = np.zeros((len(T), lp.n_vars))
-        X[:, s_j] = 0.0 + s_sign * U.take(s_k, axis=1)  # 0.0 + turns a -0.0 into 0.0
-        if f_j.size:
-            X[:, f_j] = U[:, f_k] - U[:, f_k + 1]
+        X = _points(lp, U, s_j, s_k, s_sign, f_j, f_k)
         # Duals: each row's identity column (its slack or artificial) holds
         # that row's component of the basis inverse, so y_i = c_B @ column.
         # This stays valid for rows whose tableau row was dropped as redundant.
@@ -274,6 +294,70 @@ def _solve_chunk(lp: LinearProgram, mats: np.ndarray) -> list[LpSolution | Solve
             else:
                 out[r] = st if isinstance(st, SolverError) else _no_optimum(lp, st)
     return out
+
+
+def _phase2_cost(lp: LinearProgram, var: np.ndarray, sign: np.ndarray, ncols: int) -> np.ndarray:
+    """``lp``'s objective over the ``ncols`` columns of its rewrite, as a maximization."""
+    cost = np.zeros(ncols)
+    cost[:var.size] = sign * ((1.0 if lp.sense == "max" else -1.0) * lp.objective[var])
+    return cost
+
+
+def _points(lp: LinearProgram, U: np.ndarray, s_j, s_k, s_sign, f_j, f_k) -> np.ndarray:
+    """The original variables of each row of ``U``, a (B, columns) stack of
+    points of the rewrite (``_start``)."""
+    X = np.zeros((len(U), lp.n_vars))
+    X[:, s_j] = 0.0 + s_sign * U.take(s_k, axis=1)  # 0.0 + turns a -0.0 into 0.0
+    if f_j.size:
+        X[:, f_j] = U[:, f_k] - U[:, f_k + 1]
+    return X
+
+
+def _reused(lp: LinearProgram, basis: tuple[int, ...]) -> LpSolution | None:
+    """``lp``'s solution on ``basis``, read without pivoting, if that basis is
+    certified as its unique optimum; otherwise None.
+
+    The standardized program is the cold solve's start (``_start``) with the
+    matrix columns filled in.  The basis must be full size and hold no
+    artificial column.  B is inverted once, giving the vertex x_B = B^-1 b
+    and the multipliers y = c_B B^-1.  x_B is clipped at 0, and so is an entry
+    below ``_EPS`` (2^-52) times its largest: the round-off of a basic
+    variable at a degenerate 0, which would fail a row of its own, such as
+    TDBC's lam3 = 0.  The basis is accepted only if the vertex meets every
+    row to within ``_REUSE_TOL`` of that row's size, and every non-basic,
+    non-artificial reduced cost is below ``-_COST_TOL``, so that no other
+    vertex ties it.
+    """
+    (var, sign, scale, s_j, s_k, s_sign, f_j, f_k, row_sign, _, artificial,
+     block, _, _) = _start(lp.bounds, lp.relations, lp.rhs.tobytes())
+    idx = list(basis)
+    if len(idx) != len(block) or max(idx) >= artificial.size or artificial[idx].any():
+        return None
+    A = block[:, :-1].copy()
+    np.multiply(lp.matrix.take(var, axis=1), scale, out=A[:, :var.size])
+    b = block[:, -1]
+    try:
+        inv = np.linalg.inv(A[:, idx])
+    except np.linalg.LinAlgError:  # a singular B
+        return None
+    if not np.isfinite(inv).all():
+        return None
+    xb = inv @ b
+    u = np.zeros(artificial.size)
+    u[idx] = np.where(xb > _EPS * np.abs(xb).max(), xb, 0.0)  # the clip
+    if not (np.abs(A @ u - b) <= _REUSE_TOL * (np.abs(A) @ u + np.abs(b))).all():
+        return None
+    cost = _phase2_cost(lp, var, sign, artificial.size)
+    y = cost[idx] @ inv
+    reduced = cost - y @ A
+    reduced[idx] = -_INF
+    if not (reduced[~artificial] < -_COST_TOL).all():
+        return None
+    x = _points(lp, u[None], s_j, s_k, s_sign, f_j, f_k)[0]
+    duals = row_sign * y  # each row's identity column is e_i, so y_i is its dual
+    if lp.sense == "min":
+        duals = -duals
+    return LpSolution("optimal", float(lp.objective @ x), x, tuple(sorted(idx)), duals)
 
 
 def _run_simplex(table: np.ndarray, basis: np.ndarray, cost: np.ndarray, allowed: np.ndarray):

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .core import ChannelGains, ValidationError
 
 _EPS = 1e-12
@@ -44,7 +46,7 @@ class Region:
     @functools.cached_property
     def supports(self) -> dict[float, float]:
         """``support_along_ray`` of the hull at each swept angle, computed once."""
-        return {theta: support_along_ray(self.hull, theta) for theta in self.thetas_deg}
+        return dict(zip(self.thetas_deg, supports_along_rays(self.hull, self.thetas_deg)))
 
 
 def ray_ratio(theta_deg: float) -> float:
@@ -125,29 +127,40 @@ def support_along_ray(hull: Sequence[tuple[float, float]], theta_deg: float) -> 
     The ray leaves the origin at ``theta_deg`` from the Rb axis; returns the
     distance to the boundary (0 for an empty/degenerate region off the ray).
     """
-    t = math.radians(theta_deg)
-    d = (math.sin(t), math.cos(t))
-    best = 0.0
-    n = len(hull)
-    for idx in range(n):
-        px, py = hull[idx]
-        # vertex exactly on the ray (also covers degenerate segment hulls)
-        proj = px * d[0] + py * d[1]
-        off = px * d[1] - py * d[0]
-        if proj > 0.0 and abs(off) <= 1e-9 * max(1.0, proj):
-            best = max(best, math.hypot(px, py))
-        if n < 2:
-            continue
-        qx, qy = hull[(idx + 1) % n]
-        ex, ey = qx - px, qy - py
-        denom = d[0] * ey - d[1] * ex
-        if abs(denom) < _EPS:
-            continue
-        s = (px * ey - py * ex) / denom      # ray parameter at the crossing
-        u = (px * d[1] - py * d[0]) / denom  # position along the edge
-        if s > 0.0 and -1e-9 <= u <= 1.0 + 1e-9:
-            best = max(best, s)
-    return best
+    return supports_along_rays(hull, [theta_deg])[0]
+
+
+def supports_along_rays(hull: Sequence[tuple[float, float]],
+                        thetas_deg: Sequence[float]) -> list[float]:
+    """``support_along_ray`` at each of ``thetas_deg``, in one numpy pass over
+    every (angle, vertex) pair.
+
+    The support is the largest of 0, the radius of each vertex on the ray and
+    the ray parameter of each edge the ray crosses; each candidate takes the
+    same IEEE operations whatever the angle count, so the result does not
+    depend on how the angles are batched.
+    """
+    if not hull:
+        return [0.0] * len(thetas_deg)
+    t = [math.radians(theta) for theta in thetas_deg]
+    d0 = np.array([math.sin(a) for a in t]).reshape(-1, 1)  # one row per angle
+    d1 = np.array([math.cos(a) for a in t]).reshape(-1, 1)
+    p = np.array(hull, dtype=float)
+    px, py = p[:, 0], p[:, 1]
+    proj = px * d0 + py * d1
+    off = px * d1 - py * d0
+    # a vertex exactly on the ray (also covers degenerate segment hulls)
+    on = (proj > 0.0) & (np.abs(off) <= 1e-9 * np.maximum(1.0, proj))
+    best = np.where(on, [math.hypot(x, y) for x, y in hull], 0.0).max(axis=1, initial=0.0)
+    if len(hull) >= 2:
+        ex, ey = np.roll(px, -1) - px, np.roll(py, -1) - py  # edge to the next vertex
+        denom = d0 * ey - d1 * ex
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = (px * ey - py * ex) / denom  # ray parameter at the crossing
+            u = off / denom                  # position along the edge
+        cross = (np.abs(denom) >= _EPS) & (s > 0.0) & (u >= -1e-9) & (u <= 1.0 + 1e-9)
+        best = np.maximum(best, np.where(cross, s, 0.0).max(axis=1))
+    return best.tolist()
 
 
 def symmetric_rate(region: Region) -> float:
@@ -183,13 +196,12 @@ def contains(outer_r: Region, inner_r: Region, tol: float) -> bool:
     """True iff every swept point of ``inner_r`` is inside ``outer_r``'s hull,
     measured radially along the point's own ray."""
     _check_same_gains(outer_r, inner_r)
-    for p in inner_r.points:
-        radius = math.hypot(p.ra, p.rb)
-        if radius <= tol:
-            continue
-        theta = math.degrees(math.atan2(p.ra, p.rb))
+    rays = [(radius, math.degrees(math.atan2(p.ra, p.rb)))
+            for p in inner_r.points if (radius := math.hypot(p.ra, p.rb)) > tol]
+    supports = supports_along_rays(outer_r.hull, [theta for _, theta in rays])
+    for (radius, _), support in zip(rays, supports):
         slack = tol + 1e-12 * max(1.0, radius)  # floating cushion keeps tol=0 reflexive
-        if radius > support_along_ray(outer_r.hull, theta) + slack:
+        if radius > support + slack:
             return False
     return True
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from twrc import (
     validate_gains,
     weighted_bound_lp,
 )
+from twrc import lp as lp_module
 from twrc.outer import ACTIVE_STATE_TOL
 
 
@@ -119,3 +121,41 @@ def weighted_ray_bound(k, gains):
     rb = float(sol.x[1])
     ra = float(sol.x[0]) if math.isinf(k) else k * rb
     return OuterPoint(float(k), ra, rb, shares, shares.active_states(ACTIVE_STATE_TOL))
+
+
+def _exact_solve(rows, rhs):
+    """x with rows @ x = rhs, by Gauss-Jordan elimination in fractions."""
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    for c in range(len(aug)):
+        p = next(r for r in range(c, len(aug)) if aug[r][c] != 0)
+        aug[c], aug[p] = aug[p], aug[c]
+        aug[c] = [v / aug[c][c] for v in aug[c]]
+        for r in range(len(aug)):
+            if r != c and aug[r][c] != 0:
+                aug[r] = [a - aug[r][c] * b for a, b in zip(aug[r], aug[c])]
+    return [r[-1] for r in aug]
+
+
+def exact_basis(lp, basis):
+    """(value, optimal) of ``lp`` at a basis of its standardized form, in exact
+    arithmetic (every float entry is a fraction exactly).
+
+    Solves B x_B = b and B^T y = c_B in fractions; the basis is optimal when
+    x_B >= 0 and every non-basic, non-artificial reduced cost is <= 0.  The
+    value is the maximization form's c_B x_B (a "max" program's optimum).
+    """
+    start = lp_module._start(lp.bounds, lp.relations, lp.rhs.tobytes())
+    (var, sign, scale), (artificial, block) = start[:3], start[10:12]
+    A = block[:, :-1].copy()
+    A[:, :var.size] = lp.matrix[:, var] * scale  # scale is +-1: exact
+    cost = lp_module._phase2_cost(lp, var, sign, artificial.size)
+    A, b, c = ([[Fraction(v) for v in r] for r in A], [Fraction(v) for v in block[:, -1]],
+               [Fraction(v) for v in cost])
+    idx = list(basis)
+    B = [[row[j] for j in idx] for row in A]
+    xb = _exact_solve(B, b)
+    y = _exact_solve([list(col) for col in zip(*B)], [c[j] for j in idx])
+    reduced = [c[j] - sum(yi * row[j] for yi, row in zip(y, A))
+               for j in range(len(c)) if j not in idx and not artificial[j]]
+    optimal = len(idx) == len(A) and min(xb) >= 0 and max(reduced, default=0) <= 0
+    return sum(c[j] * x for j, x in zip(idx, xb)), optimal

@@ -135,6 +135,47 @@ def test_time_shares_clamps_lp_roundoff():
     assert ts.lambda3 == 1.0
 
 
+def old_share_check(values):
+    """The per-field check ``TimeShares`` made before its one-pass form:
+    (stored values, None) or (None, the error text)."""
+    total, out = 0.0, []
+    for i, v in enumerate(values, start=1):
+        if not (isinstance(v, (int, float)) and math.isfinite(v)) or v < -1e-9 or v > 1.0 + 1e-9:
+            return None, f"lambda{i} must lie in [0, 1], got {v!r}"
+        v = max(float(v), 0.0)
+        total += v
+        out.append(min(v, 1.0))
+    if total > 1.0 + 1e-9:
+        return None, f"time shares sum to {total}, above 1"
+    return out, None
+
+
+def test_time_shares_keep_their_values_and_error_texts():
+    # the stored bytes and every error text of the per-field check, over
+    # floats near each bound, other number types and non-numbers
+    rng = np.random.default_rng(3)
+    odd = [-0.0, 1e-9, -1e-9, -2e-9, 1.0 + 1e-9, 1.0 + 2e-9, 1.0 + 5e-10, 1, True, 0,
+           np.float64(0.25), np.float32(0.25), np.int64(0), math.nan, math.inf, -math.inf,
+           "0.5", None, 0.5 + 0j]
+    cases = [tuple(odd[j] if j < len(odd) else 0.0 for j in idx)
+             for idx in rng.integers(0, len(odd) + 6, size=(600, 6))]
+    cases += [tuple(v) for v in rng.dirichlet(np.ones(6), 300) * rng.uniform(0.99, 1.01, (300, 1))]
+    outcomes = set()
+    for vals in cases:
+        want, error = old_share_check(vals)
+        if error is None:
+            got = TimeShares(*vals).as_tuple()
+            assert np.array(got).tobytes() == np.array(want).tobytes(), vals
+            assert all(type(v) is float for v in got)
+        else:
+            with pytest.raises(ValidationError) as exc:
+                TimeShares(*vals)
+            assert str(exc.value) == error, vals
+        outcomes.add(error.split(" ")[0] if error else "ok")
+    assert outcomes == {"ok", "time", "lambda1", "lambda2", "lambda3", "lambda4", "lambda5",
+                        "lambda6"}
+
+
 def test_channel_gains_validates_on_construction():
     with pytest.raises(ValidationError):
         ChannelGains(2.0, 1.0, 0.5)

@@ -311,13 +311,11 @@ def test_lone_loop_matches_lockstep_loop_on_protocol_programs(monkeypatch):
     # solve_lp pivots it in _simplex, a stack of two in _simplex_stack
     solved = []
 
-    def solve_both_ways(lp):
+    def solve_both_ways(lp, basis=()):
         want = solve_or_error(lp)
         assert_same_solution(solve_lp_stack(lp, [lp.matrix, lp.matrix])[0], want)
         solved.append(want)
-        if isinstance(want, SolverError):
-            raise want
-        return want
+        return solve_lp(lp, basis)  # the evaluator's own solve, from its basis
 
     monkeypatch.setattr(achievable, "solve_lp", solve_both_ways)
     monkeypatch.setattr(outer, "solve_lp", solve_both_ways)
@@ -359,6 +357,35 @@ def test_derived_program_equals_a_fresh_one():
         assert_same_solution(solve_or_error(derived), want)
         statuses.add(type(want).__name__ if isinstance(want, SolverError) else want.status)
     assert {"optimal", "infeasible", "unbounded"} <= statuses
+
+
+def test_a_reused_basis_reads_the_cold_optimum():
+    # a program's own optimal basis handed back: the point, value and duals
+    # are the cold solve's to round-off, over mixed relations, variable signs
+    # and both senses; a basis of the wrong size or with a column the
+    # program lacks is refused, and the program is solved cold, bit for bit
+    import twrc.lp as lp_module
+
+    rng = np.random.default_rng(21)
+    signs = ((0.0, math.inf), (-math.inf, 0.0), (-math.inf, math.inf))
+    reused = 0
+    for i in range(300):
+        base = random_feasible_bounded_lp(rng)
+        bounds = () if i % 3 == 0 else tuple(signs[j] for j in rng.integers(0, 3, base.n_vars))
+        lp = dataclasses.replace(base, bounds=bounds, sense=("max", "min")[i % 2])
+        cold = solve_or_error(lp)
+        if isinstance(cold, SolverError) or not cold.is_optimal:
+            continue
+        for bad in (cold.basis[:-1], cold.basis[:-1] + (10**6,)):
+            assert_same_solution(solve_lp(lp, bad), cold)
+        warm = solve_lp(lp, cold.basis)
+        reused += lp_module._reused(lp, cold.basis) is not None
+        assert warm.status == "optimal" and warm.basis == cold.basis
+        scale = 1.0 + np.abs(cold.x).max()
+        assert np.allclose(warm.x, cold.x, rtol=0.0, atol=1e-9 * scale)
+        assert warm.value == pytest.approx(cold.value, rel=1e-9, abs=1e-9 * scale)
+        assert np.allclose(warm.duals, cold.duals, rtol=1e-9, atol=1e-9)
+    assert reused >= 80  # 105 of 159 optimal programs here
 
 
 def test_one_cached_start_serves_every_objective(case_a):

@@ -36,6 +36,9 @@ CASE_B_MIXED_TERM = 2.5423571145059247
 # channels of wide_channels(default_rng(2026), 300) on which the simplex
 # breaks down at k = 1e6
 LARGE_K_BREAKDOWNS = (165, 290)
+# the exact optimum Ra of the cut-set program at k = 1e6 on channel 27 of
+# wide_channels(default_rng(2026), 60)
+LARGE_K_EXACT_RA = 2.1054738223345672e-05
 
 
 def check_large_k_against_highs(g):
@@ -96,7 +99,8 @@ class TestRatioBound:
         # per-ray program as the paper prints it, bit for bit
         solved = []
         real = twrc.achievable.solve_lp
-        monkeypatch.setattr(twrc.achievable, "solve_lp", lambda lp: solved.append(lp) or real(lp))
+        monkeypatch.setattr(twrc.achievable, "solve_lp",
+                            lambda lp, basis=(): solved.append(lp) or real(lp, basis))
         for g in (case_a, low_snr, validate_gains(0.0, 0.0, 0.0)):
             for k in (0.0, 0.3, 1.0):
                 solved.clear()
@@ -119,6 +123,15 @@ class TestRatioBound:
     @pytest.mark.parametrize("index", LARGE_K_BREAKDOWNS)
     def test_large_k_breakdown_channels(self, index):
         check_large_k_against_highs(wide_channels(np.random.default_rng(2026), 300)[index])
+
+    @pytest.mark.xfail(strict=True, reason="the cold basis keeps a slack at -2.1e-11, "
+                                           "so Ra is 1.3e-7 above the exact optimum")
+    def test_large_k_cold_solve_is_exact(self):
+        # channel 27 of wide_channels(default_rng(2026), 60) at k = 1e6: the
+        # exact optimum, found by checking every basis of the ray program in
+        # fractions, against a lone (cold) solve
+        g = wide_channels(np.random.default_rng(2026), 60)[27]
+        assert outer_ratio_bound(1e6, g).ra == pytest.approx(LARGE_K_EXACT_RA, rel=1e-12, abs=0.0)
 
     def test_monotone_in_each_gain(self):
         rng = np.random.default_rng(9)

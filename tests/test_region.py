@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from twrc import (
@@ -22,7 +23,8 @@ from twrc import (
     symmetric_rate,
     validate_gains,
 )
-from twrc.region import SweepError
+from twrc.cli import PROTOCOL_IDS
+from twrc.region import SweepError, supports_along_rays
 from conftest import weighted_ray_bound
 
 # closed-form anchors reused from the bound/protocol tests
@@ -206,3 +208,64 @@ class TestHullGeometry:
         hull = ((0.0, 0.0), (0.0, 2.0))
         assert support_along_ray(hull, 0.0) == pytest.approx(2.0)
         assert support_along_ray(hull, 45.0) == 0.0
+
+
+def loop_support(hull, theta_deg):
+    """``support_along_ray`` as a walk over every vertex and edge of the hull,
+    in Python floats: the reference for the one-pass form."""
+    t = math.radians(theta_deg)
+    d = (math.sin(t), math.cos(t))
+    best = 0.0
+    n = len(hull)
+    for idx in range(n):
+        px, py = hull[idx]
+        proj = px * d[0] + py * d[1]
+        off = px * d[1] - py * d[0]
+        if proj > 0.0 and abs(off) <= 1e-9 * max(1.0, proj):
+            best = max(best, math.hypot(px, py))
+        if n < 2:
+            continue
+        qx, qy = hull[(idx + 1) % n]
+        ex, ey = qx - px, qy - py
+        denom = d[0] * ey - d[1] * ex
+        if abs(denom) < 1e-12:
+            continue
+        s = (px * ey - py * ex) / denom
+        u = (px * d[1] - py * d[0]) / denom
+        if s > 0.0 and -1e-9 <= u <= 1.0 + 1e-9:
+            best = max(best, s)
+    return best
+
+
+def assert_supports_match_the_loop(hull, thetas):
+    want = np.array([loop_support(hull, t) for t in thetas])
+    assert np.array(supports_along_rays(hull, thetas)).tobytes() == want.tobytes()
+    assert [support_along_ray(hull, t) for t in thetas[:5]] == want[:5].tolist()
+
+
+class TestSupports:
+    @pytest.mark.parametrize("name", sorted(HULL_CHANNELS))
+    def test_region_supports_match_the_loop_bit_for_bit(self, name):
+        # every protocol id's hull at 91 angles (DF at grid 2, no refinement)
+        g = HULL_CHANNELS[name]
+        for pid in PROTOCOL_IDS:
+            evaluate = protocol_evaluator(pid, g)
+            if pid == "six-state-df":
+                evaluate = lambda k: six_state_df_boundary(k, g, alpha_grid=2, refine=False)
+            reg = sweep_region(evaluate, g, 91)
+            want = np.array([loop_support(reg.hull, t) for t in reg.thetas_deg])
+            assert np.array(list(reg.supports.values())).tobytes() == want.tobytes(), pid
+
+    def test_supports_match_the_loop_on_odd_hulls(self):
+        # random hulls at every scale, a point, a segment, collinear points
+        # and the axis angles
+        rng = np.random.default_rng(8)
+        thetas = [0.0, 45.0, 90.0] + rng.uniform(0.0, 90.0, 40).tolist()
+        hulls = [(), ((1.0, 2.0),), ((0.0, 0.0), (0.0, 2.0)), ((0.0, 0.0), (3.0, 0.0)),
+                 tuple(convex_hull([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)]))]
+        for scale in (1e-7, 1.0, 1e3):
+            for n in (3, 8, 40):
+                pts = [(0.0, 0.0)] + (rng.uniform(0.0, scale, (n, 2))).tolist()
+                hulls.append(tuple(convex_hull(pts)))
+        for hull in hulls:
+            assert_supports_match_the_loop(hull, thetas)
