@@ -29,6 +29,7 @@ from .lp import (
     LinearProgram,
     LpSolution,
     SolverError,
+    certify_stack,
     solve_lp,
     solve_lp_stack,
 )
@@ -271,6 +272,9 @@ _DF_SPLIT_ENTRIES = tuple((row, _DF_COLUMNS.index(col) - 1) for name in _DF_SPLI
                           for col, v in terms.items() if v == name)
 # split rates within this relative distance of a grid stage's best are tied
 _DF_TIE_RTOL = 1e-12
+# a split's rate read from a basis is taken to lie within this relative
+# distance of its cold solve's (at most 2.5e-14 on the presets)
+_DF_READ_RTOL = 1e-13
 
 
 def _df_matrix(gains: ChannelGains) -> System:
@@ -310,8 +314,7 @@ def _with_splits(template: LinearProgram, splits) -> np.ndarray:
 def _df_point(k: float, gains: ChannelGains, alpha1: float, alpha2: float) -> BoundaryPoint:
     template = ray_programs(_df_matrix(gains))(k)
     (A,) = _with_splits(template, _df_splits(gains, [alpha1], [alpha2]))
-    x = lp_optimum(solve_lp(template.with_matrix(A)))
-    return _df_boundary_point(k, x, lp_shares(x[1:7]), alpha1, alpha2)
+    return _df_boundary_point(k, *_df_solved(solve_lp(template.with_matrix(A))), alpha1, alpha2)
 
 
 def _df_boundary_point(k: float, x: np.ndarray, shares: TimeShares,
@@ -331,7 +334,15 @@ def six_state_df_boundary(k: float, gains: ChannelGains, alpha_grid: int = 33,
     refinement pass (a 9x9 sub-grid one base spacing wide around the best
     point).  A stage keeps its first point, in grid order, within
     ``_DF_TIE_RTOL`` of its best rate; the refinement must beat that by more.
-    Each grid stage is solved as one stack of programs (``solve_lp_stack``).
+    Each grid stage reads most rates from the optimal bases of a few solved
+    splits (``_df_best``), and the refinement starts from the bases the
+    coarse grid found.  The point returned is the chosen split's own solve,
+    the one a point-by-point search returns wherever each rate read from a
+    basis lies within ``_DF_READ_RTOL`` of the split's cold rate (every
+    preset does; where a cold solve is itself off, the choice can differ).
+    Only if a solve breaks down is the whole stage solved as stacks
+    (``solve_lp_stack``), which raises the ``SolverError`` of the first
+    failing split in grid order.
     """
     if alpha_grid < 2:
         raise ValidationError(f"alpha_grid must be >= 2, got {alpha_grid}")
@@ -341,33 +352,108 @@ def six_state_df_boundary(k: float, gains: ChannelGains, alpha_grid: int = 33,
 
     axis = np.linspace(0.0, 1.0, alpha_grid)
     template = ray_programs(_df_matrix(gains))(k)
-    best = _df_best(template, gains, axis, axis)
+    bases: list[tuple[int, ...]] = []
+    best = _df_best(template, gains, axis, axis, bases)
 
     if refine:
         radius = 1.0 / (alpha_grid - 1)
         b1, b2 = best[2], best[3]
         sub1 = np.linspace(max(0.0, b1 - radius), min(1.0, b1 + radius), 9)
         sub2 = np.linspace(max(0.0, b2 - radius), min(1.0, b2 + radius), 9)
-        fine = _df_best(template, gains, sub1, sub2)
+        fine = _df_best(template, gains, sub1, sub2, bases)
         if fine[0][0] - best[0][0] > _DF_TIE_RTOL * best[0][0]:
             best = fine
     return _df_boundary_point(k, *best)
 
 
-def _df_best(template: LinearProgram, gains: ChannelGains, axis1, axis2):
+def _df_best(template: LinearProgram, gains: ChannelGains, axis1, axis2,
+             bases: list[tuple[int, ...]]):
     """The best split of ``axis1`` x ``axis2`` as (x, shares, alpha1, alpha2);
     x[0] is the rate the ray program maximizes.
 
-    The first failing point, in grid order, raises what a point-by-point
-    solve of the grid would raise.
+    Most splits' rates are read from a known optimal basis: wherever
+    ``certify_stack`` finds the basis optimal for a split (its cold simplex
+    would stop there), that reading is the split's rate.  ``bases`` holds the
+    bases known so far, the previous stage's best split's first, and gains
+    this stage's; each is tried on every split.  Rounds follow: each solves
+    the middle one, in grid order, of the splits still without a rate (the
+    first is a corner of the grid, whose basis serves few others) and tries
+    its basis on the rest.  Once a round's basis serves no other split, the
+    splits left are solved as stacks (``solve_lp_stack``).  The split kept
+    is the one a point-by-point search keeps: the first, in grid order,
+    whose cold rate is within ``_DF_TIE_RTOL`` of the best cold rate.  A rate
+    read from a basis is taken to be its cold rate to ``_DF_READ_RTOL``, and
+    the splits whose place that leaves open are solved until every split is
+    surely in or out, so the kept split is solved and its x and shares come
+    from its own solve.  If any solve fails, every split of the stage is
+    solved, which raises what a point-by-point search of the grid raises.
     """
     splits = _df_splits(gains, axis1, axis2)
-    points = []
-    for start in range(0, len(splits), STACK_CHUNK):
-        chunk = splits[start:start + STACK_CHUNK]
-        mats = _with_splits(template, chunk)
-        for (a1, a2, _), sol in zip(chunk, solve_lp_stack(template, mats)):
-            x = lp_optimum(sol)
-            points.append((x, lp_shares(x[1:7]), a1, a2))
-    top = max(p[0][0] for p in points)
-    return next(p for p in points if top - p[0][0] <= _DF_TIE_RTOL * top)
+    rates = np.zeros(len(splits))
+    solved: dict[int, tuple[np.ndarray, TimeShares, tuple[int, ...]]] = {}
+    pending = np.ones(len(splits), dtype=bool)
+    cold = np.zeros(len(splits), dtype=bool)
+
+    def stacks(at):  # the splits at ``at``, STACK_CHUNK at a time, with their matrices
+        for start in range(0, len(at), STACK_CHUNK):
+            part = at[start:start + STACK_CHUNK]
+            yield part, _with_splits(template, [splits[i] for i in part])
+
+    def certified(basis) -> bool:  # whether the basis gives some pending split its rate
+        hit = False
+        for part, mats in stacks(np.nonzero(pending)[0]):
+            cert = certify_stack(template, mats, basis)
+            if cert is None:
+                return False
+            ok = cert.optimal()
+            rates[part[ok]] = cert.x[ok, 0]
+            pending[part[ok]] = False
+            hit |= ok.any()
+        return hit
+
+    def solve(at) -> tuple[int, ...]:  # cold-solves the splits at ``at``; the last one's basis
+        for part, mats in stacks(at):
+            for i, sol in zip(part, solve_lp_stack(template, mats)):
+                x, shares = _df_solved(sol)
+                solved[i] = x, shares, sol.basis
+                rates[i] = x[0]
+        pending[at] = False
+        cold[at] = True
+        return sol.basis
+
+    def choose() -> int:  # the pick that every split's cold rate would give
+        while True:
+            slack = np.where(cold, 0.0, _DF_READ_RTOL * rates)
+            lo, hi = rates - slack, rates + slack
+            pick = int(np.argmax(lo.max() - hi <= _DF_TIE_RTOL * lo.max()))  # not surely out
+            if not cold[pick]:
+                solve([pick])
+            elif hi.max() - lo[pick] <= _DF_TIE_RTOL * hi.max():  # surely in
+                return pick
+            else:  # the best rate is not known well enough: solve each split that may hold it
+                solve(np.nonzero(~cold & (hi >= lo.max()))[0])
+
+    try:
+        for basis in bases:
+            if pending.any():
+                certified(basis)
+        while pending.any():
+            at = np.nonzero(pending)[0]
+            bases.append(solve(at[len(at) // 2:len(at) // 2 + 1]))
+            if pending.any() and not certified(bases[-1]):
+                solve(np.nonzero(pending)[0])
+        pick = choose()
+    except SolverError:
+        solve(np.arange(len(splits)))  # raises the first failing split in grid order
+        pick = choose()
+    x, shares, basis = solved[pick]
+    if basis in bases:
+        bases.remove(basis)
+    bases.insert(0, basis)
+    return x, shares, *splits[pick][:2]
+
+
+def _df_solved(sol: LpSolution | SolverError) -> tuple[np.ndarray, TimeShares]:
+    """A solved split's x and time shares; a failed solve raises its ``SolverError``."""
+    x = lp_optimum(sol)
+    return x, lp_shares(x[1:7])

@@ -25,15 +25,24 @@ costs about 18 us against 88 us for a lockstep stack of one.  Both loops
 apply the same rules, so each result equals the program solved alone, bit
 for bit; the stack only saves interpreter overhead.
 
-A program may also start from a known basis: ``solve_lp(lp, basis)`` takes
-an earlier solution's basis (in a sweep, the previous ray's, which stays
-optimal everywhere but at the region's few vertices).  ``_reused`` inverts
-that basis once and accepts it only as a certified, unique optimum: the
-vertex must meet every row relative to the row's size and every non-basic
-reduced cost must be below ``-_COST_TOL``.  An accepted basis gives the
-point, value and duals without pivoting; they match the cold solve to
-round-off, within 1e-12 relative on every preset ray, but not bit for bit.
-Otherwise the program is solved cold, exactly as without a basis.
+A known basis can stand in for the simplex.  ``certify_stack`` reads one
+basis on a stack of programs that differ only in their matrices: it
+inverts each basis matrix once (LAPACK on the whole stack) and returns each
+program's vertex, duals, reduced costs and whether the vertex meets every
+row relative to the row's size.  A program with a singular basis matrix is
+refused on its own, without failing the rest of the stack.  Each program's
+numbers are bit for bit the ones it gets alone.  Two rules read the
+certificate: the cold simplex's own stopping rule (no reduced cost above
+``_COST_TOL``: the basis is optimal), which the six-state DF search uses to
+rate most of its power splits, and the stricter unique-optimum rule (every
+reduced cost below ``-_COST_TOL``).  ``solve_lp(lp, basis)`` takes an
+earlier solution's basis (in a sweep, the previous ray's, which stays
+optimal everywhere but at the region's few vertices); ``_reused``, the
+certificate on that one program, accepts it only as a unique optimum.  An
+accepted basis gives the point, value and duals without pivoting; they
+match the cold solve to round-off, within 1e-12 relative on every preset
+ray, but not bit for bit.  Otherwise the program is solved cold, exactly
+as without a basis.
 
 Programs that differ only in their matrix share the rest of their set-up.
 ``LinearProgram.with_matrix`` derives such a program from a validated one,
@@ -50,6 +59,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -230,7 +240,7 @@ def _checked(matrices, shape: tuple[int, int], stacked: bool) -> np.ndarray:
 def _solve_chunk(lp: LinearProgram, mats: np.ndarray) -> list[LpSolution | SolverError]:
     """The two-phase simplex on a (B, m, n) stack of ``lp``'s programs."""
     (var, sign, scale, s_j, s_k, s_sign, f_j, f_k, row_sign, ident_col, artificial,
-     block, cost1, limit) = _start(lp.bounds, lp.relations, lp.rhs.tobytes())
+     block, cost1, limit, _) = _start(lp.bounds, lp.relations, lp.rhs.tobytes())
     cost2 = _phase2_cost(lp, var, sign, artificial.size)
     # the start tableau: the cached block, then the matrix columns of the rewrite
     table = np.empty(mats.shape[:-1] + block.shape[-1:])
@@ -304,12 +314,12 @@ def _phase2_cost(lp: LinearProgram, var: np.ndarray, sign: np.ndarray, ncols: in
 
 
 def _points(lp: LinearProgram, U: np.ndarray, s_j, s_k, s_sign, f_j, f_k) -> np.ndarray:
-    """The original variables of each row of ``U``, a (B, columns) stack of
-    points of the rewrite (``_start``)."""
-    X = np.zeros((len(U), lp.n_vars))
-    X[:, s_j] = 0.0 + s_sign * U.take(s_k, axis=1)  # 0.0 + turns a -0.0 into 0.0
+    """The original variables of each point of the rewrite (``_start``) along
+    the last axis of ``U``."""
+    X = np.zeros(U.shape[:-1] + (lp.n_vars,))
+    X[..., s_j] = 0.0 + s_sign * U.take(s_k, axis=-1)  # 0.0 + turns a -0.0 into 0.0
     if f_j.size:
-        X[:, f_j] = U[:, f_k] - U[:, f_k + 1]
+        X[..., f_j] = U[..., f_k] - U[..., f_k + 1]
     return X
 
 
@@ -317,47 +327,100 @@ def _reused(lp: LinearProgram, basis: tuple[int, ...]) -> LpSolution | None:
     """``lp``'s solution on ``basis``, read without pivoting, if that basis is
     certified as its unique optimum; otherwise None.
 
-    The standardized program is the cold solve's start (``_start``) with the
-    matrix columns filled in.  The basis must be full size and hold no
-    artificial column.  B is inverted once, giving the vertex x_B = B^-1 b
-    and the multipliers y = c_B B^-1.  x_B is clipped at 0, and so is an entry
-    below ``_EPS`` (2^-52) times its largest: the round-off of a basic
-    variable at a degenerate 0, which would fail a row of its own, such as
-    TDBC's lam3 = 0.  The basis is accepted only if the vertex meets every
-    row to within ``_REUSE_TOL`` of that row's size, and every non-basic,
-    non-artificial reduced cost is below ``-_COST_TOL``, so that no other
-    vertex ties it.
+    ``certify_stack`` on ``lp``'s own matrix: the vertex must be feasible and
+    every non-basic, non-artificial reduced cost below ``-_COST_TOL``, so
+    that no other vertex ties it.
+    """
+    cert = certify_stack(lp, lp.matrix, basis)
+    if cert is None or not (cert.feasible and (cert.reduced < -_COST_TOL).all()):
+        return None
+    return LpSolution("optimal", float(lp.objective @ cert.x), cert.x, tuple(sorted(basis)),
+                      cert.duals)
+
+
+class Certificate(NamedTuple):
+    """One basis read on each program of a stack (``certify_stack``), indexed
+    by the stack's leading axes.
+
+    ``x`` is each program's vertex in the original variables and ``duals``
+    its multipliers, one per input row, as in ``LpSolution``.  ``reduced``
+    holds the reduced costs of the standardized columns before the
+    artificial ones, -inf on the basic columns.  A program is optimal on the
+    basis when it is ``feasible`` and none of its reduced costs exceeds
+    ``_COST_TOL`` (the cold simplex's own stopping rule), and the basis is
+    its unique optimum when every one is below ``-_COST_TOL``.
+    """
+
+    x: np.ndarray
+    duals: np.ndarray
+    reduced: np.ndarray
+    feasible: np.ndarray
+
+    def optimal(self) -> np.ndarray:
+        """Which programs the cold simplex would stop at this basis."""
+        return self.feasible & (self.reduced <= _COST_TOL).all(axis=-1)
+
+
+def certify_stack(lp: LinearProgram, mats: np.ndarray,
+                  basis: tuple[int, ...]) -> Certificate | None:
+    """``basis`` read, without pivoting, on ``lp`` with each (m, n) matrix of
+    the (..., m, n) stack ``mats``; None if it is no basis of these programs.
+
+    The standardized programs are the cold solve's start (``_start``) with
+    the matrix columns filled in.  The basis must be full size and hold no
+    artificial column.  Each B is inverted once, giving the vertex
+    x_B = B^-1 b and the multipliers y = c_B B^-1.  x_B is clipped at 0, and
+    so is an entry below ``_EPS`` (2^-52) times its largest: the round-off of
+    a basic variable at a degenerate 0, which would fail a row of its own,
+    such as TDBC's lam3 = 0.  A vertex is feasible if it meets every row to
+    within ``_REUSE_TOL`` of that row's size.  A program whose B is singular
+    is refused on its own: infeasible, read with B^-1 = 0.  Each program's
+    numbers are the ones it gets alone, bit for bit.
     """
     (var, sign, scale, s_j, s_k, s_sign, f_j, f_k, row_sign, _, artificial,
-     block, _, _) = _start(lp.bounds, lp.relations, lp.rhs.tobytes())
-    idx = list(basis)
-    if len(idx) != len(block) or max(idx) >= artificial.size or artificial[idx].any():
+     block, _, _, first_art) = _start(lp.bounds, lp.relations, lp.rhs.tobytes())
+    if len(basis) != len(block) or max(basis) >= first_art:  # the artificials come last
         return None
-    A = block[:, :-1].copy()
-    np.multiply(lp.matrix.take(var, axis=1), scale, out=A[:, :var.size])
-    b = block[:, -1]
+    idx = np.array(basis)
+    A = np.empty(mats.shape[:-1] + (artificial.size,))
+    A[...] = block[:, :-1]
+    np.multiply(mats.take(var, axis=-1), scale, out=A[..., :var.size])
+    b = block[:, -1:]  # as a column
+    B = A[..., idx]
+    # One singular member fails the whole stack's inversion.  A stack first
+    # inverts its members with an all-zero row (DF's zeroed capacities) as
+    # the identity, which saves the six-state DF search 7-26% a preset ray
+    # against a failed inversion and determinants; a lone program skips that
+    # screen, which would cost each reused sweep ray a few percent.  Any other
+    # singular member is found by its determinant once the inversion raises.
+    # All of them are refused, as are members whose inverse overflows.
+    usable = True  # a lone program's, until it is refused
+    if B.ndim > 2:
+        usable = (B != 0.0).any(axis=-1).all(axis=-1)
+        B = np.where(usable[..., None, None], B, np.eye(len(idx)))
     try:
-        inv = np.linalg.inv(A[:, idx])
-    except np.linalg.LinAlgError:  # a singular B
-        return None
+        inv = np.linalg.inv(B)
+    except np.linalg.LinAlgError:
+        usable = usable & (np.linalg.slogdet(B)[0] != 0.0)
+        inv = np.linalg.inv(np.where(usable[..., None, None], B, np.eye(len(idx))))
     if not np.isfinite(inv).all():
-        return None
+        usable = usable & np.isfinite(inv).all(axis=(-2, -1))
+    if usable is not True:
+        inv = np.where(usable[..., None, None], inv, 0.0)
     xb = inv @ b
-    u = np.zeros(artificial.size)
-    u[idx] = np.where(xb > _EPS * np.abs(xb).max(), xb, 0.0)  # the clip
-    if not (np.abs(A @ u - b) <= _REUSE_TOL * (np.abs(A) @ u + np.abs(b))).all():
-        return None
+    u = np.zeros(A.shape[:-2] + (artificial.size, 1))
+    u[..., idx, :] = np.where(xb > _EPS * np.abs(xb).max(axis=-2, keepdims=True), xb, 0.0)
+    feasible = usable & (np.abs(A @ u - b)
+                         <= _REUSE_TOL * (np.abs(A) @ u + np.abs(b))).all(axis=(-2, -1))
     cost = _phase2_cost(lp, var, sign, artificial.size)
     y = cost[idx] @ inv
-    reduced = cost - y @ A
-    reduced[idx] = -_INF
-    if not (reduced[~artificial] < -_COST_TOL).all():
-        return None
-    x = _points(lp, u[None], s_j, s_k, s_sign, f_j, f_k)[0]
+    reduced = cost[:first_art] - (y[..., None, :] @ A[..., :first_art])[..., 0, :]
+    reduced[..., idx] = -_INF
     duals = row_sign * y  # each row's identity column is e_i, so y_i is its dual
     if lp.sense == "min":
         duals = -duals
-    return LpSolution("optimal", float(lp.objective @ x), x, tuple(sorted(idx)), duals)
+    x = _points(lp, u[..., 0], s_j, s_k, s_sign, f_j, f_k)
+    return Certificate(x, duals, reduced, feasible)
 
 
 def _run_simplex(table: np.ndarray, basis: np.ndarray, cost: np.ndarray, allowed: np.ndarray):
@@ -388,11 +451,11 @@ def _start(bounds: tuple, relations: tuple, rhs: bytes) -> tuple:
     form: a non-negative variable keeps its column, a non-positive one is
     x = -u and a free one is split into x = u+ - u-.  Rows are flipped to a
     non-negative rhs, then get one slack per inequality and one artificial
-    per row that has no +1 slack.  Returns (var, sign, scale, s_j, s_k,
-    s_sign, f_j, f_k, row_sign, ident_col, artificial, block, phase-1 cost,
-    feasibility limit): block is the (m, w) start tableau with zero matrix
-    columns, which a solve copies and then fills in; the start basis is each
-    row's identity column.
+    per row that has no +1 slack, the artificials last.  Returns (var, sign,
+    scale, s_j, s_k, s_sign, f_j, f_k, row_sign, ident_col, artificial,
+    block, phase-1 cost, feasibility limit, first artificial column): block
+    is the (m, w) start tableau with zero matrix columns, which a solve
+    copies and then fills in; the start basis is each row's identity column.
     """
     var, sign = [], []       # column k of the rewrite is sign[k] * x[var[k]]
     single, split = [], []   # (j, k): x_j = sign[k] * u_k; (j, k): x_j = u_k - u_k+1
@@ -427,7 +490,7 @@ def _start(bounds: tuple, relations: tuple, rhs: bytes) -> tuple:
              f_j, f_k, row_sign, ident_col, artificial, block, np.where(artificial, -1.0, 0.0))
     for a in start:
         a.flags.writeable = False
-    return start + (FEASIBILITY_TOL * max(1.0, float(np.abs(b).max(initial=0.0))),)
+    return start + (FEASIBILITY_TOL * max(1.0, float(np.abs(b).max(initial=0.0))), first_art)
 
 
 def _simplex(table: np.ndarray, basis: np.ndarray, cost: np.ndarray,

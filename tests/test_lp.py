@@ -4,8 +4,19 @@ import math
 import numpy as np
 import pytest
 
-from twrc import LinearProgram, SolverError, ValidationError, dual_of, solve_lp, solve_lp_stack
+from twrc import (
+    PRESETS,
+    LinearProgram,
+    SolverError,
+    ValidationError,
+    dual_of,
+    preset_scenario,
+    ray_grid,
+    solve_lp,
+    solve_lp_stack,
+)
 from twrc import achievable, cli, outer
+from twrc import lp as lp_module
 from conftest import wide_channels
 
 
@@ -294,8 +305,6 @@ def test_stack_breakdown_fails_only_its_own_program():
 
 
 def test_stack_chunks_and_mixed_drop_patterns(monkeypatch):
-    import twrc.lp as lp_module
-
     monkeypatch.setattr(lp_module, "STACK_CHUNK", 3)
     rng = np.random.default_rng(4)
     template = LinearProgram(rng.uniform(-1, 1, 4), np.zeros((3, 4)), ("=", "=", "<="),
@@ -364,8 +373,6 @@ def test_a_reused_basis_reads_the_cold_optimum():
     # are the cold solve's to round-off, over mixed relations, variable signs
     # and both senses; a basis of the wrong size or with a column the
     # program lacks is refused, and the program is solved cold, bit for bit
-    import twrc.lp as lp_module
-
     rng = np.random.default_rng(21)
     signs = ((0.0, math.inf), (-math.inf, 0.0), (-math.inf, math.inf))
     reused = 0
@@ -391,8 +398,6 @@ def test_a_reused_basis_reads_the_cold_optimum():
 def test_one_cached_start_serves_every_objective(case_a):
     # the phase-1 start is keyed on bounds, relations and rhs only, so a new
     # objective on the same channel (a weighted-sum bound) reuses it
-    import twrc.lp as lp_module
-
     lp_module._start.cache_clear()
     outer.outer_weighted_bound(1.0, 1.0, case_a)
     outer.outer_weighted_bound(1.0, 0.3, case_a)
@@ -415,3 +420,114 @@ def test_stack_rejects_bad_input():
         solve_lp_stack(t, np.ones((2, 2, 2)))
     with pytest.raises(ValidationError):
         solve_lp_stack(t, np.full((2, 1, 2), math.nan))
+
+
+def reused_decision(lp, basis):
+    """``_reused``'s verdict on one program, with its point and duals."""
+    sol = lp_module._reused(lp, basis)
+    return None if sol is None else (sol.x.tobytes(), sol.duals.tobytes())
+
+
+def certificate_stacks(case_a, case_c, low_snr):
+    """(template, matrices, basis) triples: protocol programs along a ray grid
+    under one ray's optimal basis, and a DF grid under one split's."""
+    rays = [k for _, k in ray_grid(15)]
+    for gains in (case_a, case_c, low_snr):
+        for system in (achievable.hbc_system(gains), achievable.six_state_system(gains),
+                       achievable.comabc_system(gains), outer.cut_set_system(gains)):
+            program = achievable.ray_programs(system)
+            mats = np.array([program(k).matrix for k in rays])
+            for k in (0.0, 1.0, 3.0):
+                yield program(k), mats, solve_lp(program(k)).basis
+        template = achievable.ray_programs(achievable._df_matrix(gains))(0.3)
+        axis = np.linspace(0.0, 1.0, 9)
+        mats = achievable._with_splits(template, achievable._df_splits(gains, axis, axis))
+        for i in (0, 40, 80):
+            yield template, mats, solve_lp(template.with_matrix(mats[i])).basis
+
+
+def test_stacked_certificate_decides_as_a_lone_reuse(case_a, case_c, low_snr):
+    # every member of a stack gets _reused's verdict, point and duals bit for
+    # bit, and the cold simplex's stopping rule as on its own
+    accepted = optimal = members = 0
+    for template, mats, basis in certificate_stacks(case_a, case_c, low_snr):
+        cert = lp_module.certify_stack(template, mats, basis)
+        for i, mat in enumerate(mats):
+            lp = template.with_matrix(mat)
+            lone = lp_module.certify_stack(lp, mat, basis)
+            unique = bool(cert.feasible[i] and (cert.reduced[i] < -lp_module._COST_TOL).all())
+            want = reused_decision(lp, basis)
+            assert unique == (want is not None)
+            if unique:
+                assert (cert.x[i].tobytes(), cert.duals[i].tobytes()) == want
+            assert cert.optimal()[i] == lone.optimal()
+            accepted += unique
+            optimal += bool(cert.optimal()[i])
+            members += 1
+    assert 0 < accepted < optimal < members
+
+
+def standardized_basis_matrices(template, mats, basis):
+    """Each program's basis matrix B in the standardized form, built by hand."""
+    start = lp_module._start(template.bounds, template.relations, template.rhs.tobytes())
+    (var, scale), block = (start[0], start[2]), start[11]
+    A = np.repeat(block[None, :, :-1], len(mats), axis=0)
+    A[:, :, :var.size] = mats[:, :, var] * scale
+    return A[:, :, list(basis)]
+
+
+def test_certificate_refuses_singular_members_alone(case_a):
+    # DF splits at alpha in {0, 1} zero a capacity, which leaves some members
+    # a basis matrix with an all-zero row: they are refused, the rest are read
+    template = achievable.ray_programs(achievable._df_matrix(case_a))(1.0)
+    axis = np.linspace(0.0, 1.0, 9)
+    splits = achievable._df_splits(case_a, axis, axis)
+    mats = achievable._with_splits(template, splits)
+    basis = solve_lp(template.with_matrix(mats[40])).basis
+    B = standardized_basis_matrices(template, mats, basis)
+    singular = np.linalg.matrix_rank(B) < len(basis)
+    assert 0 < singular.sum() < len(mats)
+    assert all({a1, a2} & {0.0, 1.0} for (a1, a2, _), s in zip(splits, singular) if s)
+    cert = lp_module.certify_stack(template, mats, basis)
+    assert not cert.feasible[singular].any() and (cert.x[singular] == 0.0).all()
+    assert cert.optimal()[~singular].sum() > 0
+    for i in np.nonzero(singular)[0]:
+        assert not lp_module.certify_stack(template, mats[i], basis).feasible
+
+    # max x1 + x2 over x1 + x2 <= 1 and x1 + x2 <= 2 on basis (0, 1): two
+    # equal basic columns and no zero row; the second member is regular
+    lp = LinearProgram([1.0, 1.0], [[1.0, 1.0], [1.0, 1.0]], ("<=", "<="), [1.0, 2.0])
+    cert = lp_module.certify_stack(lp, np.array([lp.matrix, np.eye(2)]), (0, 1))
+    assert cert.feasible.tolist() == [False, True]
+    assert cert.x[1].tolist() == [1.0, 2.0]
+    assert not lp_module.certify_stack(lp, lp.matrix, (0, 1)).feasible
+    assert lp_module._reused(lp, (0, 1)) is None
+
+
+def test_certified_df_rates_match_cold_solves(monkeypatch):
+    # every rate the DF search reads from a basis is its split's cold rate to
+    # the _DF_READ_RTOL its pick relies on, on the four presets along
+    # ray_grid(3) at grid 9 and 33
+    read = []
+
+    def record(lp, mats, basis):
+        cert = lp_module.certify_stack(lp, mats, basis)
+        if cert is not None:
+            ok = cert.optimal()
+            read.append((lp, mats[ok], cert.x[ok, 0]))
+        return cert
+
+    monkeypatch.setattr(achievable, "certify_stack", record)
+    count = 0
+    for name in sorted(PRESETS):
+        gains = preset_scenario(name).gains()
+        for grid in (9, 33):
+            for _, k in ray_grid(3):
+                read.clear()
+                achievable.six_state_df_boundary(k, gains, alpha_grid=grid)
+                for lp, mats, rates in read:
+                    cold = [sol.x[0] for sol in solve_lp_stack(lp, mats)]
+                    assert np.allclose(rates, cold, rtol=achievable._DF_READ_RTOL, atol=0.0), \
+                        (name, grid, k)
+                    count += len(rates)
+    assert count > 4 * 5 * (81 + 1089)
