@@ -4,7 +4,8 @@ Covers the two-phase multiple-access/broadcast protocol (MABC), the four-phase
 hybrid protocol (HBC) and its three-phase time-division restriction (TDBC),
 the six-state decode-and-forward protocol with per-state power splits, the
 six-state protocol that also sends fresh data on the direct link, and the
-three-phase lattice-forwarding CoMABC protocol.
+three-phase lattice-forwarding CoMABC protocol.  MABC, TDBC, HBC and CoMABC
+are the six-state system over their states.
 """
 
 from __future__ import annotations
@@ -125,43 +126,6 @@ def lp_shares(values) -> TimeShares:
         raise SolverError(f"LP solution has invalid time shares: {exc}") from exc
 
 
-def mabc_system(gains: ChannelGains) -> System:
-    """Two-phase protocol: simultaneous uplinks (state 3), relay broadcast (state 4)."""
-    caps = link_capacities(gains)
-    # columns: Ra, Rb, lam3, lam4
-    A = np.array([
-        [1.0, 0.0, -caps.c1, 0.0],
-        [1.0, 0.0, 0.0, -caps.c2],
-        [0.0, 1.0, -caps.c2, 0.0],
-        [0.0, 1.0, 0.0, -caps.c1],
-        [1.0, 1.0, -caps.c12, 0.0],
-        [0.0, 0.0, 1.0, 1.0],
-    ])
-    return A, ("<=",) * 6, (0.0,) * 5 + (1.0,), (3, 4)
-
-
-def hbc_system(gains: ChannelGains, tdbc_only: bool = False) -> System:
-    """Four-phase protocol over states 1-4; ``tdbc_only`` drops the joint
-    uplink state 3 (the three-phase time-division restriction)."""
-    caps = link_capacities(gains)
-    # columns: Ra, Rb, lam1, lam2, lam3, lam4
-    A = np.array([
-        [1.0, 0.0, -caps.c1, 0.0, -caps.c1, 0.0],
-        [1.0, 0.0, -caps.c3, 0.0, 0.0, -caps.c2],
-        [0.0, 1.0, 0.0, -caps.c2, -caps.c2, 0.0],
-        [0.0, 1.0, 0.0, -caps.c3, 0.0, -caps.c1],
-        [1.0, 1.0, -caps.c1, -caps.c2, -caps.c12, 0.0],
-        [0.0, 0.0, 1.0, 1.0, 1.0, 1.0],
-    ])
-    rel = ("<=",) * 5 + ("=",)
-    rhs = (0.0,) * 5 + (1.0,)
-    if tdbc_only:
-        A = np.vstack([A, [0.0, 0.0, 0.0, 0.0, 1.0, 0.0]])
-        rel += ("=",)
-        rhs += (0.0,)
-    return A, rel, rhs, (1, 2, 3, 4)
-
-
 def six_state_system(gains: ChannelGains) -> System:
     """Six-state protocol with side information: states 5 and 6 forward relayed
     data coherently with fresh direct-link transmissions.
@@ -183,24 +147,40 @@ def six_state_system(gains: ChannelGains) -> System:
     return A, ("<=",) * 5 + ("=",), (0.0,) * 5 + (1.0,), (1, 2, 3, 4, 5, 6)
 
 
+def _over_states(gains: ChannelGains, states: tuple[int, ...], budget: str) -> System:
+    """A protocol that uses only ``states``: the six-state system's Ra, Rb and
+    share columns of those states, with its budget row related by ``budget``."""
+    A, rel, rhs, _ = six_state_system(gains)
+    return A.take([0, 1] + [1 + s for s in states], axis=1), rel[:-1] + (budget,), rhs, states
+
+
+def mabc_system(gains: ChannelGains) -> System:
+    """Two-phase protocol: simultaneous uplinks (state 3), relay broadcast (state 4)."""
+    return _over_states(gains, (3, 4), "<=")
+
+
+def hbc_system(gains: ChannelGains, tdbc_only: bool = False) -> System:
+    """Four-phase protocol over states 1-4; ``tdbc_only`` drops the joint
+    uplink state 3 (the three-phase time-division restriction)."""
+    A, rel, rhs, states = _over_states(gains, (1, 2, 3, 4), "=")
+    if tdbc_only:
+        A = np.vstack([A, [0.0, 0.0, 0.0, 0.0, 1.0, 0.0]])
+        rel += ("=",)
+        rhs += (0.0,)
+    return A, rel, rhs, states
+
+
 def comabc_system(gains: ChannelGains) -> System:
     """Three-phase lattice-forwarding protocol over states 3, 4 and 6.
 
     The relay decodes a lattice combination, so the uplink rates are capped by
     the clipped single-user expressions R*_ar, R*_br rather than the MAC region.
     """
-    caps = link_capacities(gains)
-    r_ar = _lattice_uplink_rate(gains.gamma1, gains.gamma2)
-    r_br = _lattice_uplink_rate(gains.gamma2, gains.gamma1)
-    # columns: Ra, Rb, lam3, lam4, lam6
-    A = np.array([
-        [1.0, 0.0, -r_ar, 0.0, 0.0],
-        [1.0, 0.0, 0.0, -caps.c2, 0.0],
-        [0.0, 1.0, -r_br, 0.0, -caps.c3],
-        [0.0, 1.0, 0.0, -caps.c1, -caps.c13],
-        [0.0, 0.0, 1.0, 1.0, 1.0],
-    ])
-    return A, ("<=",) * 5, (0.0,) * 4 + (1.0,), (3, 4, 6)
+    A, rel, rhs, states = _over_states(gains, (3, 4, 6), "<=")
+    # state 3's uplinks are capped by the lattice rates, with no sum-rate row
+    A[0, 2] = -_lattice_uplink_rate(gains.gamma1, gains.gamma2)
+    A[2, 2] = -_lattice_uplink_rate(gains.gamma2, gains.gamma1)
+    return A.take([0, 1, 2, 3, 5], axis=0), rel[:4] + rel[5:], rhs[:4] + rhs[5:], states
 
 
 def mabc_boundary(k: float, gains: ChannelGains) -> BoundaryPoint:
@@ -347,7 +327,8 @@ def six_state_df_boundary(k: float, gains: ChannelGains, alpha_grid: int = 33,
     if alpha_grid < 2:
         raise ValidationError(f"alpha_grid must be >= 2, got {alpha_grid}")
     if gains.gamma3 == 0.0:
-        # the direct link carries nothing: every split gives the same LP
+        # every direct-link cap is 0 and each relay-bound cap grows with its
+        # alpha, so the split (1, 1) reaches the stage's best rate
         return _df_point(k, gains, 1.0, 1.0)
 
     axis = np.linspace(0.0, 1.0, alpha_grid)
@@ -445,7 +426,7 @@ def _df_best(template: LinearProgram, gains: ChannelGains, axis1, axis2,
         pick = choose()
     except SolverError:
         solve(np.arange(len(splits)))  # raises the first failing split in grid order
-        pick = choose()
+        raise
     x, shares, basis = solved[pick]
     if basis in bases:
         bases.remove(basis)

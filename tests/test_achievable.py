@@ -323,15 +323,31 @@ class TestComabc:
         assert p.shares.active_states() <= {3, 4, 6}
 
 
+def lattice_rate(own, other):
+    """The clipped lattice uplink rate [log2(own / (own + other) + own)]^+."""
+    return max(0.0, math.log2(own / (own + other) + own)) if own > 0.0 else 0.0
+
+
 def paper_system(name, gains):
-    """The TDBC, HBC or six-state system over (Ra, Rb, lam1..lam6), written
-    out from the protocol definitions: rate rows, unused states, budget."""
+    """The MABC, TDBC, HBC, six-state or CoMABC system over (Ra, Rb,
+    lam1..lam6), written out from the protocol definitions: rate rows, one row
+    per unused state, budget."""
     c = link_capacities(gains)
     if name == "six-state":
         cuts = [[1, 0, c.c1, 0, c.c1, 0, c.c3, 0], [1, 0, c.c3, 0, 0, c.c2, c.c23, 0],
                 [0, 1, 0, c.c2, c.c2, 0, 0, c.c3], [0, 1, 0, c.c3, 0, c.c1, 0, c.c13],
                 [1, 1, c.c1, c.c2, c.c12, 0, c.c3, c.c3]]
         unused = ()
+    elif name == "mabc":  # uplinks to the relay in state 3, its broadcast in state 4
+        cuts = [[1, 0, 0, 0, c.c1, 0, 0, 0], [1, 0, 0, 0, 0, c.c2, 0, 0],
+                [0, 1, 0, 0, c.c2, 0, 0, 0], [0, 1, 0, 0, 0, c.c1, 0, 0],
+                [1, 1, 0, 0, c.c12, 0, 0, 0]]
+        unused = (1, 2, 5, 6)
+    elif name == "comabc":  # the relay decodes a lattice sum in state 3: no sum-rate cut
+        g1, g2, _ = gains.as_tuple()
+        cuts = [[1, 0, 0, 0, lattice_rate(g1, g2), 0, 0, 0], [1, 0, 0, 0, 0, c.c2, 0, 0],
+                [0, 1, 0, 0, lattice_rate(g2, g1), 0, 0, c.c3], [0, 1, 0, 0, 0, c.c1, 0, c.c13]]
+        unused = (1, 2, 5)
     else:
         cuts = [[1, 0, c.c1, 0, c.c1, 0, 0, 0], [1, 0, c.c3, 0, 0, c.c2, 0, 0],
                 [0, 1, 0, c.c2, c.c2, 0, 0, 0], [0, 1, 0, c.c3, 0, c.c1, 0, 0],
@@ -340,8 +356,9 @@ def paper_system(name, gains):
     A = np.array(cuts, dtype=float)
     A[:, 2:] *= -1.0
     A = np.vstack([A] + [np.eye(8)[1 + s] for s in unused] + [[0, 0] + [1.0] * 6])
-    rel = ("<=",) * 5 + ("=",) * (len(unused) + 1)
-    return A, rel, np.array([0.0] * (5 + len(unused)) + [1.0])
+    budget = "<=" if name in ("mabc", "comabc") else "="
+    rel = ("<=",) * len(cuts) + ("=",) * len(unused) + (budget,)
+    return A, rel, np.array([0.0] * (len(cuts) + len(unused)) + [1.0])
 
 
 # the DF flows (source, destination, state), grouped by source
@@ -422,6 +439,26 @@ def df_off_highs(g, splits, ks):
     return off
 
 
+class TestPaperSystems:
+    def test_protocol_systems_equal_the_paper_systems(self):
+        # each system's rate rows, budget row and TDBC's lam3 row are
+        # paper_system's on the columns of its states, in value: paper_system
+        # writes -0.0 where a protocol system may hold 0.0
+        channels = wide_channels(np.random.default_rng(2026), 300) + [validate_gains(0, 0, 0)]
+        off = []
+        for g in channels:
+            for name in ("mabc", "tdbc", "hbc", "six-state", "comabc"):
+                A, rel, rhs, states = LP_SYSTEMS[name](g)
+                P, prel, prhs = paper_system(name, g)
+                cuts = int((P[:, :2] != 0.0).any(axis=1).sum())  # the rate rows come first
+                rows = list(range(cuts)) + [len(P) - 1] + ([cuts] if name == "tdbc" else [])
+                cols = [0, 1] + [1 + s for s in states]
+                if not (np.array_equal(A, P[np.ix_(rows, cols)]) and np.array_equal(rhs, prhs[rows])
+                        and rel == tuple(prel[r] for r in rows)):
+                    off.append((name, g))
+        assert off == []
+
+
 class TestAgainstHighs:
     # where the ray substitution first went wrong: k = 1e6 across 0..70 dB
     # and k = 1 across -50..-30 dB, 20 channels per 10-dB band of gamma2
@@ -431,7 +468,7 @@ class TestAgainstHighs:
         off = []
         for band in range(lo_db, hi_db, 10):
             for g in band_channels(rng, band, band + 10, 20):
-                for name in ("tdbc", "hbc", "six-state"):
+                for name in ("mabc", "tdbc", "hbc", "six-state", "comabc"):
                     A, rel, rhs = paper_system(name, g)
                     ref, scale = highs_ray_rate(A, rel, rhs, k)
                     p = protocol_evaluator(name, g)(k)
@@ -440,7 +477,8 @@ class TestAgainstHighs:
                     x = np.array([p.ra, p.rb, *p.shares.as_tuple()])
                     unit = np.array([np.abs(A[:, 2:]).max()] * 2 + [1.0] * 6)
                     resid = A @ x - rhs
-                    resid[5:] = np.abs(resid[5:])  # the equality rows
+                    eq = np.array(rel) == "="
+                    resid[eq] = np.abs(resid[eq])
                     if (abs(p.rb - ref) > 1e-6 * max(ref, 1e-9 * scale)
                             or (resid > 1e-7 * (np.abs(A) @ unit + rhs)).any()):
                         off.append((name, g, p.rb, ref))
