@@ -11,6 +11,7 @@ are the six-state system over their states.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -250,6 +251,25 @@ _DF_ROWS = (
 _DF_SPLIT_ENTRIES = tuple((row, _DF_COLUMNS.index(col) - 1) for name in _DF_SPLIT_CAPS
                           for row, (terms, _) in enumerate(_DF_ROWS)
                           for col, v in terms.items() if v == name)
+# per column of the ray-tied system (column 0 merges Ra and Rb), the rows that
+# may hold a nonzero entry, padded with the index one past the last row
+_DF_NONZERO = tuple(
+    (rows + [len(_DF_ROWS)] * 4)[:4] for rows in (
+        [r for r, (terms, _) in enumerate(_DF_ROWS)
+         if any(max(_DF_COLUMNS.index(col) - 1, 0) == j for col in terms)]
+        for j in range(len(_DF_COLUMNS) - 1)))
+# per flow, in column order: the column of its state's share, and the two
+# ``<=`` rows that cap it by that share (one row twice if it has one)
+_DF_FLOW_SHARE = np.array([_DF_COLUMNS.index(f"lam{f[2]}") - 1 for f in _DF_FLOWS])
+_DF_CAP_ROWS = np.array([(rows * 2)[-2:] for rows in (
+    [r for r, (terms, rel) in enumerate(_DF_ROWS) if rel == "<=" and f in terms]
+    for f in _DF_FLOWS)])
+# per rate row (Ra's, Rb's), which flows make up that rate
+_DF_SOURCE = np.array([[terms.get(f) == -1 for f in _DF_FLOWS] for terms, _ in _DF_ROWS[:2]])
+# a cold-solved stack of DF splits pivots in lockstep (``solve_lp_stack``) only
+# from this size on: on grid-3 wide-channel stages, stacks of 2, 3 and 4 took
+# 1.7, 1.9 and 1.2 times as long as solving their splits one by one, 6 the same
+_DF_LOCKSTEP_MIN = 6
 # split rates within this relative distance of a grid stage's best are tied
 _DF_TIE_RTOL = 1e-12
 # a split's rate read from a basis is taken to lie within this relative
@@ -314,16 +334,23 @@ def six_state_df_boundary(k: float, gains: ChannelGains, alpha_grid: int = 33,
     refinement pass (a 9x9 sub-grid one base spacing wide around the best
     point).  A stage keeps its first point, in grid order, within
     ``_DF_TIE_RTOL`` of its best rate; the refinement must beat that by more.
-    Each grid stage reads most rates from the optimal bases of a few solved
-    splits (``_df_best``), and the refinement starts from the bases the
-    coarse grid found.  The point returned is the chosen split's own solve,
-    the one a point-by-point search returns wherever each rate read from a
-    basis lies within ``_DF_READ_RTOL`` of the split's cold rate (every
-    preset does; where a cold solve is itself off, the choice can differ).
-    Only if a solve breaks down is the whole stage solved as stacks
-    (``solve_lp_stack``), which raises the ``SolverError`` of the first
-    failing split in grid order.
+    Each grid stage bounds every split's rate by weak duality from the duals
+    of the splits it has rated and rates only the splits those bounds leave
+    in contention, most of them from the optimal bases of a few solved
+    splits (``_df_best``); the refinement starts from the bases and duals
+    the coarse grid found.  The point returned is the chosen split's own
+    solve, the one a point-by-point search returns wherever each rate read
+    from a basis lies within ``_DF_READ_RTOL`` of the split's cold rate and
+    no cold rate exceeds a bound by more (every preset does; where a cold
+    solve is itself off, the choice can differ).  Only if a solve breaks
+    down is the whole stage solved as stacks (``solve_lp_stack``), which
+    raises the ``SolverError`` of the first failing split in grid order.
+    ``alpha_grid`` must be an integer (a numpy one too) of at least 2.
     """
+    try:
+        alpha_grid = operator.index(alpha_grid)
+    except TypeError:
+        raise ValidationError(f"alpha_grid must be an integer, got {alpha_grid!r}") from None
     if alpha_grid < 2:
         raise ValidationError(f"alpha_grid must be >= 2, got {alpha_grid}")
     if gains.gamma3 == 0.0:
@@ -334,104 +361,206 @@ def six_state_df_boundary(k: float, gains: ChannelGains, alpha_grid: int = 33,
     axis = np.linspace(0.0, 1.0, alpha_grid)
     template = ray_programs(_df_matrix(gains))(k)
     bases: list[tuple[int, ...]] = []
-    best = _df_best(template, gains, axis, axis, bases)
+    duals: list[np.ndarray] = []
+    best, trusted = _df_best(template, gains, axis, axis, bases, duals, True)
 
     if refine:
         radius = 1.0 / (alpha_grid - 1)
         b1, b2 = best[2], best[3]
         sub1 = np.linspace(max(0.0, b1 - radius), min(1.0, b1 + radius), 9)
         sub2 = np.linspace(max(0.0, b2 - radius), min(1.0, b2 + radius), 9)
-        fine = _df_best(template, gains, sub1, sub2, bases)
+        fine, _ = _df_best(template, gains, sub1, sub2, bases, duals, trusted)
         if fine[0][0] - best[0][0] > _DF_TIE_RTOL * best[0][0]:
             best = fine
     return _df_boundary_point(k, *best)
 
 
 def _df_best(template: LinearProgram, gains: ChannelGains, axis1, axis2,
-             bases: list[tuple[int, ...]]):
-    """The best split of ``axis1`` x ``axis2`` as (x, shares, alpha1, alpha2);
-    x[0] is the rate the ray program maximizes.
+             bases: list[tuple[int, ...]], duals: list[np.ndarray], trusted: bool):
+    """The best split of ``axis1`` x ``axis2`` as ((x, shares, alpha1,
+    alpha2), trusted); x[0] is the rate the ray program maximizes.
 
-    Most splits' rates are read from a known optimal basis: wherever
-    ``certify_stack`` finds the basis optimal for a split (its cold simplex
-    would stop there), that reading is the split's rate.  ``bases`` holds the
-    bases known so far, the previous stage's best split's first, and gains
-    this stage's; each is tried on every split.  Rounds follow: each solves
-    the middle one, in grid order, of the splits still without a rate (the
-    first is a corner of the grid, whose basis serves few others) and tries
-    its basis on the rest.  Once a round's basis serves no other split, the
-    splits left are solved as stacks (``solve_lp_stack``).  The split kept
-    is the one a point-by-point search keeps: the first, in grid order,
-    whose cold rate is within ``_DF_TIE_RTOL`` of the best cold rate.  A rate
-    read from a basis is taken to be its cold rate to ``_DF_READ_RTOL``, and
-    the splits whose place that leaves open are solved until every split is
-    surely in or out, so the kept split is solved and its x and shares come
-    from its own solve.  If any solve fails, every split of the stage is
-    solved, which raises what a point-by-point search of the grid raises.
+    A branch-and-bound over the grid.  Every dual the search holds
+    (``duals``: the multipliers of each split rated so far, in this stage
+    and the one before) bounds every split's rate by weak duality
+    (``_df_bounds``), and a split is rated only while the bounds leave it
+    open: not surely below the best rate by more than ``_DF_TIE_RTOL``, and
+    not surely within that of the current pick's rate (the pick is the first
+    such split in grid order; a later split within it cannot displace it).
+    A split is rated from a held basis (``bases``) wherever ``certify_stack``
+    finds it optimal (its cold simplex would stop there) and otherwise by a
+    cold solve (``solve_lp_stack``), whose basis joins ``bases``.  Splits are
+    rated in batches, the pick first and then the highest bounds: a batch
+    starts at one split, doubles while the new bounds prune fewer open
+    splits than were just rated and drops back to one when they prune more,
+    so a flat grid, where the bounds prune little, is rated in stacks.
+
+    The split kept is the one a point-by-point search keeps: the first, in
+    grid order, whose cold rate is within ``_DF_TIE_RTOL`` of the best cold
+    rate.  A rate read from a basis is taken to be its cold rate to
+    ``_DF_READ_RTOL``, and a bound to be at least the cold rate less that
+    much.  A rated split's own rate outranks any bound on it.  Once a rate
+    lies above a bound on it by more than that, the cold simplex overshoots
+    the program's optimum (as at k = 1e6), so the bounds prune nothing more,
+    in this stage or the next (``trusted`` turns False), and each batch takes
+    every split still open, as a search without bounds would.  The splits
+    whose place these margins leave open are rated or solved until every
+    split is surely in or out, so the kept split is solved and its x and
+    shares come from its own solve.  If any solve fails, every split of the
+    stage is solved, which raises what a point-by-point search of the grid
+    raises.
     """
     splits = _df_splits(gains, axis1, axis2)
+    bounds_of = _df_bounds(template, splits, len(axis2))
+    bound = bounds_of(duals if trusted else [])
     rates = np.zeros(len(splits))
     solved: dict[int, tuple[np.ndarray, TimeShares, tuple[int, ...]]] = {}
-    pending = np.ones(len(splits), dtype=bool)
+    rated = np.zeros(len(splits), dtype=bool)
     cold = np.zeros(len(splits), dtype=bool)
 
-    def stacks(at):  # the splits at ``at``, STACK_CHUNK at a time, with their matrices
-        for start in range(0, len(at), STACK_CHUNK):
-            part = at[start:start + STACK_CHUNK]
+    def stacks(at, size=STACK_CHUNK):  # the splits at ``at``, ``size`` at a time, and matrices
+        for start in range(0, len(at), size):
+            part = at[start:start + size]
             yield part, _with_splits(template, [splits[i] for i in part])
 
-    def certified(basis) -> bool:  # whether the basis gives some pending split its rate
-        hit = False
-        for part, mats in stacks(np.nonzero(pending)[0]):
-            cert = certify_stack(template, mats, basis)
-            if cert is None:
-                return False
-            ok = cert.optimal()
-            rates[part[ok]] = cert.x[ok, 0]
-            pending[part[ok]] = False
-            hit |= ok.any()
-        return hit
-
-    def solve(at) -> tuple[int, ...]:  # cold-solves the splits at ``at``; the last one's basis
-        for part, mats in stacks(at):
+    def solve(at) -> None:  # cold-solves the splits at ``at``
+        # lockstep pivots beat lone ones only from about _DF_LOCKSTEP_MIN programs on
+        for part, mats in stacks(at, STACK_CHUNK if len(at) >= _DF_LOCKSTEP_MIN else 1):
             for i, sol in zip(part, solve_lp_stack(template, mats)):
                 x, shares = _df_solved(sol)
                 solved[i] = x, shares, sol.basis
                 rates[i] = x[0]
-        pending[at] = False
-        cold[at] = True
-        return sol.basis
+                duals.append(sol.duals)
+                if sol.basis not in bases:
+                    bases.append(sol.basis)
+        rated[at] = cold[at] = True
 
-    def choose() -> int:  # the pick that every split's cold rate would give
-        while True:
-            slack = np.where(cold, 0.0, _DF_READ_RTOL * rates)
-            lo, hi = rates - slack, rates + slack
-            pick = int(np.argmax(lo.max() - hi <= _DF_TIE_RTOL * lo.max()))  # not surely out
-            if not cold[pick]:
-                solve([pick])
-            elif hi.max() - lo[pick] <= _DF_TIE_RTOL * hi.max():  # surely in
-                return pick
-            else:  # the best rate is not known well enough: solve each split that may hold it
-                solve(np.nonzero(~cold & (hi >= lo.max()))[0])
-
-    try:
+    def rate(at) -> None:  # rates the splits at ``at`` from a held basis, else cold
         for basis in bases:
-            if pending.any():
-                certified(basis)
-        while pending.any():
-            at = np.nonzero(pending)[0]
-            bases.append(solve(at[len(at) // 2:len(at) // 2 + 1]))
-            if pending.any() and not certified(bases[-1]):
-                solve(np.nonzero(pending)[0])
-        pick = choose()
+            for part, mats in stacks(at):
+                cert = certify_stack(template, mats, basis)
+                if cert is not None:
+                    ok = cert.optimal()
+                    rates[part[ok]] = cert.x[ok, 0]
+                    rated[part[ok]] = True
+                    duals.extend(cert.duals[ok])
+            at = at[~rated[at]]
+            if not at.size:
+                return
+        solve(at)
+
+    def state():  # the pick, and the live splits that may still displace it
+        nonlocal trusted
+        cap = bound * (1.0 + _DF_READ_RTOL)  # a bound on the cold rate, with its round-off
+        trusted = trusted and not (rated & (rates > cap)).any()
+        slack = np.where(cold, 0.0, _DF_READ_RTOL * rates)
+        lo = np.where(rated, rates - slack, -np.inf)
+        hi = np.where(rated, rates + slack, cap if trusted else np.inf)
+        top = lo.max()
+        live = top - hi <= _DF_TIE_RTOL * top  # not surely out
+        pick = int(np.argmax(live))
+        return pick, live & (~(hi - lo[pick] <= _DF_TIE_RTOL * hi) | (hi == np.inf))
+
+    size, held = 1, len(duals)
+    try:
+        pick, beyond = state()
+        while True:
+            todo = np.nonzero(beyond & ~rated)[0]
+            if todo.size:
+                # the pick first (unless none is rated: then it is just the
+                # first corner), then the best bounds, ties from the middle
+                todo = np.concatenate([todo[todo.size // 2:], todo[:todo.size // 2]])
+                first = (todo == pick) & rated.any()
+                todo = todo[np.argsort(np.where(first, -np.inf, -bound[todo]), kind="stable")]
+                at = todo[:size if trusted else todo.size]
+                rate(at)
+                if trusted:
+                    bound = np.minimum(bound, bounds_of(duals[held:]))
+                held = len(duals)
+                pick, after = state()
+                pruned = (beyond & ~after & ~rated).sum()
+                size = size * 2 if pruned < len(at) else 1
+                beyond = after
+            elif not cold[pick]:
+                solve([pick])
+                pick, beyond = state()
+            elif (beyond & rated & ~cold).any():
+                solve(np.nonzero(beyond & rated & ~cold)[0])
+                pick, beyond = state()
+            else:
+                break
     except SolverError:
         solve(np.arange(len(splits)))  # raises the first failing split in grid order
         raise
     x, shares, basis = solved[pick]
-    if basis in bases:
-        bases.remove(basis)
+    bases.remove(basis)
     bases.insert(0, basis)
-    return x, shares, *splits[pick][:2]
+    return (x, shares, *splits[pick][:2]), trusted
+
+
+def _df_bounds(template: LinearProgram, splits, n2: int) -> Callable[[list], np.ndarray]:
+    """duals -> an upper bound on each split's rate: the least, over the
+    duals, of the weak-duality bound of each; +inf where no dual gives a
+    finite one.  ``splits`` is a grid in ``_df_splits``' order with ``n2``
+    splits to a row.
+
+    With y a dual clipped to y >= 0 on the ``<=`` rows and d = c - A^T y the
+    reduced costs, every feasible x has rate c x <= y b + d x.  y b is the
+    budget row's y.  Each flow f of a state s is at most lam_s times its
+    smallest capacity in the state's cap rows, the rate R is the sum of its
+    source's flows (the rate row whose R entry is 1) and the shares sum to
+    1, so d x is at most the largest, over the six states, of d_lam_s plus
+    the sum over the state's flows of (d_f^+ + d_R^+ if f is R's source's)
+    times its capacity.  State 1's term depends on alpha1 only and state 2's
+    on alpha2 only, so a dual bounds the whole grid from the n1 + n2
+    matrices of its two axes.  Each float operation steps one float outward
+    (``np.nextafter``), so the bound is at least the exact bound of that y.
+    """
+    n1 = len(splits) // n2
+    mats = _with_splits(template, [splits[i * n2] for i in range(n1)] + list(splits[:n2]))
+    mats = np.concatenate([mats, np.zeros((len(mats), 1, mats.shape[2]))], axis=1)  # + a 0 row
+    # The column sums to bound: each column of the first matrix, then state
+    # 1's share column in each of the first n1 matrices (axis 1) and state
+    # 2's in each of the last n2 (axis 2), as (matrix, rows, column).
+    nz = np.array(_DF_NONZERO)
+    cols = np.concatenate([np.arange(len(nz)), np.repeat([1, 2], [n1, n2])])
+    at = np.concatenate([np.zeros(len(nz), dtype=int), np.arange(n1 + n2)])
+    rows = nz[cols]
+    entries = mats[at[:, None], rows, cols[:, None]]
+    rows = rows % len(_DF_ROWS)  # the pad reads y's row 0 against its 0 entry
+    # The terms: states 3-6, then state 1 at each alpha1 and state 2 at each
+    # alpha2, each its share column's sum (an index of those sums) and its
+    # state's two flows (``_DF_FLOWS`` lists them two to a state).
+    share = np.concatenate([[3, 4, 5, 6], len(nz) + np.arange(n1 + n2)])
+    state = np.concatenate([[2, 3, 4, 5], np.repeat([0, 1], [n1, n2])])  # 0-based
+    flows = 2 * state[:, None] + [0, 1]
+    caps = -np.maximum(mats[at[share][:, None], _DF_CAP_ROWS[flows, 0], _DF_FLOW_SHARE[flows]],
+                       mats[at[share][:, None], _DF_CAP_ROWS[flows, 1], _DF_FLOW_SHARE[flows]])
+    source = _DF_SOURCE[int(np.nonzero(template.matrix[:2, 0] == 1.0)[0][0])]
+    floor = np.where([rel == "<=" for _, rel in _DF_ROWS], 0.0, -np.inf)
+    up, down = (lambda v: np.nextafter(v, np.inf)), (lambda v: np.nextafter(v, -np.inf))
+
+    def bounds(duals) -> np.ndarray:
+        y = np.array(duals, dtype=float).reshape(-1, len(_DF_ROWS))
+        y = np.maximum(y[np.isfinite(y).all(axis=1)], floor)  # y >= 0 on the <= rows
+        if not len(y):
+            return np.full(len(splits), np.inf)
+        terms = down(y[:, rows] * entries)
+        lower = terms[..., 0]  # at most each column's sum of y_i A_ij
+        for t in range(1, terms.shape[-1]):
+            lower = down(lower + terms[..., t])
+        # reduced costs c - A^T y, rounded up (c is 1 at column 0 only), and
+        # each flow's weight: d_f^+, plus d_R^+ on R's source's flows
+        d_rate = np.maximum(up(1.0 - lower[:, 0]), 0.0)
+        w = up(np.maximum(-lower[:, 7:len(nz)], 0.0) + source * d_rate[:, None])
+        flow = up(w[:, flows] * caps)
+        term = up(up(flow[..., 0] - lower[:, share]) + flow[..., 1])
+        best = np.maximum(np.maximum(term[:, 4:4 + n1, None], term[:, None, 4 + n1:]),
+                          term[:, :4].max(axis=1)[:, None, None])
+        out = up(y[:, -1, None, None] + best).reshape(len(y), -1).min(axis=0)
+        return np.where(np.isfinite(out), out, np.inf)
+
+    return bounds
 
 
 def _df_solved(sol: LpSolution | SolverError) -> tuple[np.ndarray, TimeShares]:

@@ -37,9 +37,10 @@ refused on its own, without failing the rest of the stack.  Each program's
 numbers are bit for bit the ones it gets alone.  Two rules read the
 certificate: the cold simplex's own stopping rule (no reduced cost above
 ``_COST_TOL``: the basis is optimal), which the six-state DF search uses to
-rate most of its power splits, and the stricter unique-optimum rule (every
-reduced cost below ``-_COST_TOL``).  ``solve_lp(lp, basis)`` takes an
-earlier solution's basis (in a sweep, the previous ray's, which stays
+rate the power splits that its weak-duality bounds (from the duals of the
+splits rated so far) leave in contention, and the stricter unique-optimum
+rule (every reduced cost below ``-_COST_TOL``).  ``solve_lp(lp, basis)``
+takes an earlier solution's basis (in a sweep, the previous ray's, which stays
 optimal everywhere but at the region's few vertices); ``_reused``, the
 certificate on that one program, accepts it only as a unique optimum.  An
 accepted basis gives the point, value and duals without pivoting; they

@@ -1,5 +1,6 @@
 import collections
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -256,7 +257,7 @@ class TestSixStateDfStacked:
     def test_random_channels_match_point_by_point(self):
         # bit for bit, except where the point-by-point search raises or is
         # farther from HiGHS's search than the stacked one, which is within
-        # 1e-9 of it: two of the 100 calls, both at gamma3 = 1e-12*gamma1
+        # 1e-9 of it: three of the 100 calls, all at gamma3 = 1e-12*gamma1
         rng = np.random.default_rng(2026)
         ks = (0.0, 1.0, math.inf, 1e6)
         changed = []
@@ -277,12 +278,139 @@ class TestSixStateDfStacked:
                     old = float.fromhex(want[0] if k > 1.0 else want[1])
                     assert abs(old - ref) > abs(rate - ref), (i, k, old, rate, ref)
                 changed.append((i, k))
-        assert changed == [(33, 1.0), (47, 1e6)]
+        assert changed == [(3, 1e6), (33, 1.0), (47, 1e6)]
 
     def test_grid_spanning_several_chunks(self, case_b):
         assert 17 * 17 > STACK_CHUNK
         assert (df_outcome(six_state_df_boundary, 0.7, case_b, alpha_grid=17, refine=False)
                 == df_outcome(df_point_by_point, 0.7, case_b, alpha_grid=17, refine=False))
+
+
+def exact_df_bound(lp, y):
+    """The weak-duality bound of the dual ``y`` on the ray-tied DF program
+    ``lp`` in exact arithmetic: with y clipped to y >= 0 on the <= rows and
+    d = c - A^T y, the budget row's y plus the largest, over the states s, of
+    d_lam_s + sum over the state's flows f of (d_f^+, plus d_R^+ if f makes up
+    the rate row whose R entry is 1) times f's smallest cap in its <= rows."""
+    A, m, n = lp.matrix, lp.n_rows, lp.n_vars
+    names = achievable._DF_COLUMNS[1:]  # column 0 is R, then lam1..lam6 and the flows
+    y = [Fraction(max(v, 0.0) if rel == "<=" else v) for v, rel in zip(y, lp.relations)]
+    d = [Fraction(lp.objective[j]) - sum(Fraction(A[i, j]) * y[i] for i in range(m))
+         for j in range(n)]
+    source = 0 if A[0, 0] == 1.0 else 1
+    term = {s: d[s] for s in range(1, 7)}
+    for f in range(7, n):
+        s = int(names[f][-1])
+        caps = [-Fraction(A[i, s]) for i in range(m) if lp.relations[i] == "<=" and A[i, f] == 1.0]
+        weight = max(d[f], 0) + (max(d[0], 0) if A[source, f] == -1.0 else 0)
+        term[s] += weight * min(caps)
+    return y[m - 1] + max(term.values())
+
+
+def recorded_bounds(monkeypatch, calls):
+    """Run six_state_df_boundary on each (k, gains, kwargs) of ``calls``;
+    per call, every bound the search computes: (template, splits, the
+    stage's bound function, the duals, the bounds)."""
+    seen = []
+    make = achievable._df_bounds
+
+    def bounds_of(template, splits, n2):
+        fn = make(template, splits, n2)
+
+        def record(duals):
+            out = fn(duals)
+            seen[-1].append((template, splits, fn, list(duals), out))
+            return out
+        return record
+
+    monkeypatch.setattr(achievable, "_df_bounds", bounds_of)
+    for k, gains, kwargs in calls:
+        seen.append([])
+        try:
+            six_state_df_boundary(k, gains, **kwargs)
+        except SolverError:
+            pass
+    return seen
+
+
+class TestSixStateDfBounds:
+    def test_float_bound_is_safe_in_exact_arithmetic(self, monkeypatch):
+        # every float bound is at least the exact bound of its dual, on 1,200
+        # (dual, split) pairs the search meets on the presets and on wide
+        # channels; on the presets it is above it by a few ulps only
+        calls = [(k, preset_scenario(name).gains(), dict(alpha_grid=9))
+                 for name in sorted(PRESETS) for _, k in ray_grid(3)]
+        calls += [(k, g, dict(alpha_grid=3, refine=False))
+                  for g in wide_channels(np.random.default_rng(2026), 60) for k in (0.3, 1.0, 1e6)]
+        pairs = [(c < 20, template, splits, fn, y)
+                 for c, seen in enumerate(recorded_bounds(monkeypatch, calls))
+                 for template, splits, fn, duals, _ in seen for y in duals]
+        rng = np.random.default_rng(15)
+        short, slack = [], []
+        for p in rng.choice(len(pairs), 1200):
+            preset, template, splits, fn, y = pairs[p]
+            i = int(rng.integers(len(splits)))
+            lp = template.with_matrix(achievable._with_splits(template, [splits[i]])[0])
+            got, want = fn([y])[i], exact_df_bound(lp, y)
+            if not got >= want:
+                short.append((p, i, got, float(want)))
+            elif preset:
+                slack.append((Fraction(got) - want) / want)
+        assert short == []
+        assert len(slack) > 200 and max(slack) < 1e-14
+
+    def test_no_cold_rate_exceeds_a_bound(self, monkeypatch):
+        # on the presets at grids 9 and 33, no split's cold rate is above a
+        # bound computed on it by more than the _DF_READ_RTOL the search
+        # allows for a cold solve's round-off (some are up to 2.3e-14 above)
+        calls = [(k, preset_scenario(name).gains(), dict(alpha_grid=grid))
+                 for name in sorted(PRESETS) for grid in (9, 33) for _, k in ray_grid(3)]
+        cold = {}
+        over = []
+        for template, splits, _, _, out in sum(recorded_bounds(monkeypatch, calls), []):
+            key = id(splits)
+            if key not in cold:
+                mats = achievable._with_splits(template, splits)
+                cold[key] = np.array([sol.x[0] for sol in lp_module.solve_lp_stack(template, mats)])
+            if (cold[key] > out * (1.0 + achievable._DF_READ_RTOL)).any():
+                over.append((template.matrix[0, 0], np.nonzero(cold[key] > out)[0]))
+        assert over == []
+
+    def test_dual_that_is_not_finite_prunes_nothing(self, case_a):
+        template = achievable.ray_programs(achievable._df_matrix(case_a))(1.0)
+        axis = np.linspace(0.0, 1.0, 9)
+        splits = achievable._df_splits(case_a, axis, axis)
+        bounds = achievable._df_bounds(template, splits, 9)
+        y = solve_lp(template.with_matrix(achievable._with_splits(template, splits[40:41])[0])).duals
+        assert np.isfinite(bounds([y])).all()
+        for bad in (math.nan, math.inf, -math.inf):
+            for row in (3, len(y) - 1):
+                z = y.copy()
+                z[row] = bad
+                assert (bounds([z]) == math.inf).all()
+                assert np.array_equal(bounds([z, y]), bounds([y]))
+        assert (bounds([]) == math.inf).all()
+
+    @pytest.mark.parametrize("preset", ["case-b", "low-snr"])
+    def test_bound_below_a_rate_never_lowers_it(self, monkeypatch, preset):
+        # with every bound halved, so that a rated split's rate lies above a
+        # bound on it, the search still keeps the point-by-point split
+        make = achievable._df_bounds
+        monkeypatch.setattr(achievable, "_df_bounds",
+                            lambda *args: (lambda duals: 0.5 * make(*args)(duals)))
+        gains = preset_scenario(preset).gains()
+        for _, k in ray_grid(3):
+            assert (df_outcome(six_state_df_boundary, k, gains, alpha_grid=9)
+                    == df_outcome(df_point_by_point, k, gains, alpha_grid=9))
+
+    @pytest.mark.parametrize("grid", [3.0, 2.5, math.nan, "9", None])
+    def test_alpha_grid_must_be_an_integer(self, case_a, grid):
+        with pytest.raises(ValidationError, match="alpha_grid must be an integer"):
+            six_state_df_boundary(1.0, case_a, alpha_grid=grid)
+
+    def test_alpha_grid_takes_numpy_integers(self, case_a):
+        assert (df_outcome(six_state_df_boundary, 1.0, case_a, alpha_grid=np.int64(3))
+                == df_outcome(six_state_df_boundary, 1.0, case_a, alpha_grid=3))
 
 
 class TestSixState:

@@ -508,26 +508,31 @@ def test_certified_df_rates_match_cold_solves(monkeypatch):
     # every rate the DF search reads from a basis is its split's cold rate to
     # the _DF_READ_RTOL its pick relies on, on the four presets along
     # ray_grid(3) at grid 9 and 33
-    read = []
+    stages = []  # per grid stage, what its certificates read
 
     def record(lp, mats, basis):
         cert = lp_module.certify_stack(lp, mats, basis)
         if cert is not None:
             ok = cert.optimal()
-            read.append((lp, mats[ok], cert.x[ok, 0]))
+            stages[-1].append((lp, mats[ok], cert.x[ok, 0]))
         return cert
 
+    def stage(*args):
+        stages.append([])
+        return best(*args)
+
+    best = achievable._df_best
     monkeypatch.setattr(achievable, "certify_stack", record)
-    count = 0
+    monkeypatch.setattr(achievable, "_df_best", stage)
     for name in sorted(PRESETS):
         gains = preset_scenario(name).gains()
         for grid in (9, 33):
             for _, k in ray_grid(3):
-                read.clear()
                 achievable.six_state_df_boundary(k, gains, alpha_grid=grid)
-                for lp, mats, rates in read:
+                for lp, mats, rates in stages[-1] + stages[-2]:
                     cold = [sol.x[0] for sol in solve_lp_stack(lp, mats)]
                     assert np.allclose(rates, cold, rtol=achievable._DF_READ_RTOL, atol=0.0), \
                         (name, grid, k)
-                    count += len(rates)
-    assert count > 4 * 5 * (81 + 1089)
+    # most stages read some rate (78 of the 80 do)
+    reading = sum(any(len(rates) for _, _, rates in reads) for reads in stages)
+    assert len(stages) == 4 * 2 * 5 * 2 and reading >= 72
