@@ -20,7 +20,7 @@ from .core import (
     link_capacities,
     validate_gains,
 )
-from .lp import LinearProgram, LpSolution, SolverError, dual_of, solve_lp, solve_lp_stack
+from .lp import LinearProgram, LpSolution, SolverError, dual_of, solve_lp
 from .outer import (
     DualPoint,
     OuterPoint,
@@ -80,7 +80,6 @@ __all__ = [
     "ZERO_SHARES", "ChannelGains", "LinkCaps", "TimeShares", "ValidationError",
     "cap", "db_to_linear", "linear_to_db", "link_capacities", "validate_gains",
     "LinearProgram", "LpSolution", "SolverError", "dual_of", "solve_lp",
-    "solve_lp_stack",
     "DualPoint", "OuterPoint", "Thresholds", "WeightedBound",
     "analytic_rb_bound", "analytic_weighted_bound", "capacity_thresholds",
     "dual_point_feasible", "one_way_bound", "one_way_bound_ab",

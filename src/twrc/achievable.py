@@ -11,7 +11,6 @@ are the six-state system over their states.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -21,20 +20,13 @@ from .core import (
     ChannelGains,
     TimeShares,
     ValidationError,
+    as_integer,
     cap,
     link_capacities,
     ray_rates,
     tie_ray,
 )
-from .lp import (
-    STACK_CHUNK,
-    LinearProgram,
-    LpSolution,
-    SolverError,
-    certify_stack,
-    solve_lp,
-    solve_lp_stack,
-)
+from .lp import LinearProgram, LpSolution, SolverError, certify_stack, solve_lp
 
 # per-protocol information flows: (source, destination, state) -> rate
 FlowVars = dict[tuple[str, str, int], float]
@@ -109,10 +101,8 @@ def ray_evaluator(system: System) -> Callable[[float], BoundaryPoint]:
     return point
 
 
-def lp_optimum(sol: LpSolution | SolverError) -> np.ndarray:
-    """The optimal point of an LP solution, or the failure it records."""
-    if isinstance(sol, SolverError):
-        raise sol
+def lp_optimum(sol: LpSolution) -> np.ndarray:
+    """The optimal point of an LP solution; any other status raises ``SolverError``."""
     if not sol.is_optimal:
         raise SolverError(f"rate LP unexpectedly {sol.status}")
     return sol.x
@@ -266,10 +256,9 @@ _DF_CAP_ROWS = np.array([(rows * 2)[-2:] for rows in (
     for f in _DF_FLOWS)])
 # per rate row (Ra's, Rb's), which flows make up that rate
 _DF_SOURCE = np.array([[terms.get(f) == -1 for f in _DF_FLOWS] for terms, _ in _DF_ROWS[:2]])
-# a cold-solved stack of DF splits pivots in lockstep (``solve_lp_stack``) only
-# from this size on: on grid-3 wide-channel stages, stacks of 2, 3 and 4 took
-# 1.7, 1.9 and 1.2 times as long as solving their splits one by one, 6 the same
-_DF_LOCKSTEP_MIN = 6
+# the certificate reads of a grid stage hold at most this many split matrices
+# at once (a stage at alpha_grid 257 has 66,049 splits)
+_DF_CHUNK = 256
 # split rates within this relative distance of a grid stage's best are tied
 _DF_TIE_RTOL = 1e-12
 # a split's rate read from a basis is taken to lie within this relative
@@ -311,10 +300,16 @@ def _with_splits(template: LinearProgram, splits) -> np.ndarray:
     return mats
 
 
+def _solve_split(template: LinearProgram, split) -> LpSolution:
+    """The cold solve of the ray-tied DF program at one split of ``_df_splits``."""
+    (A,) = _with_splits(template, [split])
+    return solve_lp(template.with_matrix(A))
+
+
 def _df_point(k: float, gains: ChannelGains, alpha1: float, alpha2: float) -> BoundaryPoint:
     template = ray_programs(_df_matrix(gains))(k)
-    (A,) = _with_splits(template, _df_splits(gains, [alpha1], [alpha2]))
-    return _df_boundary_point(k, *_df_solved(solve_lp(template.with_matrix(A))), alpha1, alpha2)
+    (split,) = _df_splits(gains, [alpha1], [alpha2])
+    return _df_boundary_point(k, *_df_solved(_solve_split(template, split)), alpha1, alpha2)
 
 
 def _df_boundary_point(k: float, x: np.ndarray, shares: TimeShares,
@@ -337,20 +332,18 @@ def six_state_df_boundary(k: float, gains: ChannelGains, alpha_grid: int = 33,
     Each grid stage bounds every split's rate by weak duality from the duals
     of the splits it has rated and rates only the splits those bounds leave
     in contention, most of them from the optimal bases of a few solved
-    splits (``_df_best``); the refinement starts from the bases and duals
-    the coarse grid found.  The point returned is the chosen split's own
-    solve, the one a point-by-point search returns wherever each rate read
-    from a basis lies within ``_DF_READ_RTOL`` of the split's cold rate and
-    no cold rate exceeds a bound by more (every preset does; where a cold
-    solve is itself off, the choice can differ).  Only if a solve breaks
-    down is the whole stage solved as stacks (``solve_lp_stack``), which
-    raises the ``SolverError`` of the first failing split in grid order.
+    splits and the rest by ``solve_lp``, one split at a time (``_df_best``);
+    the refinement starts from the bases and duals the coarse grid found.
+    The point returned is the chosen split's own solve, the one a
+    point-by-point search returns wherever each rate read from a basis lies
+    within ``_DF_READ_RTOL`` of the split's cold rate and no cold rate
+    exceeds a bound by more (every preset does; where a cold solve is itself
+    off, the choice can differ).  Only if a solve breaks down is every split
+    of the stage solved, in grid order, which raises the ``SolverError`` of
+    the first failing split.
     ``alpha_grid`` must be an integer (a numpy one too) of at least 2.
     """
-    try:
-        alpha_grid = operator.index(alpha_grid)
-    except TypeError:
-        raise ValidationError(f"alpha_grid must be an integer, got {alpha_grid!r}") from None
+    alpha_grid = as_integer("alpha_grid", alpha_grid)
     if alpha_grid < 2:
         raise ValidationError(f"alpha_grid must be >= 2, got {alpha_grid}")
     if gains.gamma3 == 0.0:
@@ -389,11 +382,13 @@ def _df_best(template: LinearProgram, gains: ChannelGains, axis1, axis2,
     such split in grid order; a later split within it cannot displace it).
     A split is rated from a held basis (``bases``) wherever ``certify_stack``
     finds it optimal (its cold simplex would stop there) and otherwise by a
-    cold solve (``solve_lp_stack``), whose basis joins ``bases``.  Splits are
+    cold solve (``solve_lp``), whose basis joins ``bases``.  Splits are
     rated in batches, the pick first and then the highest bounds: a batch
     starts at one split, doubles while the new bounds prune fewer open
     splits than were just rated and drops back to one when they prune more,
-    so a flat grid, where the bounds prune little, is rated in stacks.
+    so a flat grid, where the bounds prune little, is rated in large
+    batches.  A certificate reads at most ``_DF_CHUNK`` splits at once, and
+    a cold solve builds its split's matrix only when it solves it.
 
     The split kept is the one a point-by-point search keeps: the first, in
     grid order, whose cold rate is within ``_DF_TIE_RTOL`` of the best cold
@@ -418,21 +413,20 @@ def _df_best(template: LinearProgram, gains: ChannelGains, axis1, axis2,
     rated = np.zeros(len(splits), dtype=bool)
     cold = np.zeros(len(splits), dtype=bool)
 
-    def stacks(at, size=STACK_CHUNK):  # the splits at ``at``, ``size`` at a time, and matrices
-        for start in range(0, len(at), size):
-            part = at[start:start + size]
+    def stacks(at):  # the splits at ``at``, _DF_CHUNK at a time, and their matrices
+        for start in range(0, len(at), _DF_CHUNK):
+            part = at[start:start + _DF_CHUNK]
             yield part, _with_splits(template, [splits[i] for i in part])
 
-    def solve(at) -> None:  # cold-solves the splits at ``at``
-        # lockstep pivots beat lone ones only from about _DF_LOCKSTEP_MIN programs on
-        for part, mats in stacks(at, STACK_CHUNK if len(at) >= _DF_LOCKSTEP_MIN else 1):
-            for i, sol in zip(part, solve_lp_stack(template, mats)):
-                x, shares = _df_solved(sol)
-                solved[i] = x, shares, sol.basis
-                rates[i] = x[0]
-                duals.append(sol.duals)
-                if sol.basis not in bases:
-                    bases.append(sol.basis)
+    def solve(at) -> None:  # cold-solves the splits at ``at``, in that order
+        for i in at:
+            sol = _solve_split(template, splits[i])
+            x, shares = _df_solved(sol)
+            solved[i] = x, shares, sol.basis
+            rates[i] = x[0]
+            duals.append(sol.duals)
+            if sol.basis not in bases:
+                bases.append(sol.basis)
         rated[at] = cold[at] = True
 
     def rate(at) -> None:  # rates the splits at ``at`` from a held basis, else cold
@@ -563,7 +557,8 @@ def _df_bounds(template: LinearProgram, splits, n2: int) -> Callable[[list], np.
     return bounds
 
 
-def _df_solved(sol: LpSolution | SolverError) -> tuple[np.ndarray, TimeShares]:
-    """A solved split's x and time shares; a failed solve raises its ``SolverError``."""
+def _df_solved(sol: LpSolution) -> tuple[np.ndarray, TimeShares]:
+    """A solved split's x and time shares; a split that is not optimal raises
+    ``SolverError``."""
     x = lp_optimum(sol)
     return x, lp_shares(x[1:7])

@@ -34,6 +34,7 @@ from .core import (
     ZERO_SHARES,
     ChannelGains,
     ValidationError,
+    as_integer,
     db_to_linear,
     is_ra_axis,
     linear_to_db,
@@ -124,6 +125,8 @@ class Scenario:
             v = getattr(self, nm)
             if not (isinstance(v, (int, float)) and math.isfinite(v)):
                 raise ValidationError(f"{nm} must be finite, got {v!r}")
+        for nm in ("theta_points", "alpha_grid"):
+            object.__setattr__(self, nm, as_integer(nm, getattr(self, nm)))
         if not 3 <= self.theta_points <= MAX_THETA_POINTS:
             raise ValidationError(
                 f"theta_points must be >= 3 and <= {MAX_THETA_POINTS}, got {self.theta_points}")

@@ -7,6 +7,7 @@ inside the library. Decibels appear only at I/O boundaries.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,15 @@ def linear_to_db(snr: float) -> float:
     if not _finite(snr) or snr <= 0.0:
         raise ValidationError(f"linear SNR must be finite and positive, got {snr!r}")
     return 10.0 * math.log10(snr)
+
+
+def as_integer(name: str, value) -> int:
+    """``value`` as an int, accepting numpy integers; a float such as 4.0, a
+    string or any other non-integer raises ``ValidationError``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _finite(x) -> bool:

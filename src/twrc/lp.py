@@ -11,22 +11,11 @@ non-negative, non-positive or free (no box bounds), so the rewrite to
 non-negative variables only negates and splits columns and every program
 keeps its own rhs.
 
-One solve routine, ``_solve_chunk``, serves every program.
-``solve_lp_stack`` solves a stack of programs that differ only in their
-constraint matrices (such as one program per point of a parameter grid) as
-one (B, m, w) tableau, in chunks of ``STACK_CHUNK``; ``solve_lp`` is the same
-routine on a stack of one.  It runs both phases, the artificial purge, point
-recovery and duals for the whole stack; its one size-dependent step is the
-pivot loop.  A stack pivots in lockstep in ``_simplex_stack``, with
-finished programs set aside; a lone program pivots in ``_simplex``, whose
-ratio test runs on Python floats.  Per pivot, over 4,450 one-program loops of
-the outer-bound and protocol programs (14,601 pivots, 2-vCPU host), that
-costs about 18 us against 88 us for a lockstep stack of one.  Both loops
-apply the same rules, so each result equals the program solved alone, bit
-for bit; the stack only saves interpreter overhead.  That pays off where DF
-stages cold-solve most of their splits: on 200 wide channels x 5 ratios at
-grids 3 and 9, pivoting each program alone took 28.3-29.5 s against
-20.3-20.8 s in lockstep (2-vCPU host).
+One solve routine, ``_solve``, runs both phases on a program's own (m, w)
+tableau, purges the artificial variables left at zero from the basis
+(dropping the rows that turn out redundant) and reads the point and the duals
+from the final tableau; ``_pivot`` is the one pivot step of the simplex and
+the purge.
 
 A known basis can stand in for the simplex.  ``certify_stack`` reads one
 basis on a stack of programs that differ only in their matrices: it
@@ -50,8 +39,8 @@ as without a basis.
 
 Programs that differ only in their matrix share the rest of their set-up.
 ``LinearProgram.with_matrix`` derives such a program from a validated one,
-checking only the new matrix (the check ``solve_lp_stack`` applies to its
-stack), so a sweep builds one program per channel and derives one per ray.
+checking only the new matrix, so a sweep builds one program per channel and
+derives one per ray (and six-state DF one per power split it solves).
 The part of the phase-1 start that the matrix does not touch (the slack,
 artificial and rhs entries, the phase-1 cost and the feasibility limit) is
 built once per (bounds, relations, rhs) and cached (``_start``): a solve
@@ -80,7 +69,6 @@ _COST_TOL = 1e-10
 _REUSE_TOL = 1e-11
 _EPS = np.finfo(float).eps
 _MAX_PIVOTS = 20_000
-STACK_CHUNK = 256  # programs per lockstep tableau in solve_lp_stack
 
 _RELATIONS = ("<=", "=", ">=")
 _INF = math.inf
@@ -118,7 +106,7 @@ class LinearProgram:
         if mat.size == 0:
             mat = np.zeros((len(rel), obj.size))
         rhs = np.atleast_1d(np.asarray(self.rhs, dtype=float))
-        mat = _checked(np.atleast_2d(mat), (len(rel), obj.size), False)
+        mat = _checked(np.atleast_2d(mat), (len(rel), obj.size))
         object.__setattr__(self, "objective", obj)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "rhs", rhs)
@@ -151,10 +139,12 @@ class LinearProgram:
 
         Only the new matrix is checked, for this program's shape and finite
         entries; every other field is this program's, validated once and
-        shared.  It solves bit for bit as a freshly built equal program.
+        shared.  It solves bit for bit as a freshly built equal program.  A
+        sweep derives each ray's program this way, and six-state DF each
+        power split's program that it solves.
         """
         lp = object.__new__(LinearProgram)
-        lp.__dict__.update(self.__dict__, matrix=_checked(matrix, self.matrix.shape, False))
+        lp.__dict__.update(self.__dict__, matrix=_checked(matrix, self.matrix.shape))
         return lp
 
     @property
@@ -192,122 +182,67 @@ def solve_lp(lp: LinearProgram, basis: tuple[int, ...] = ()) -> LpSolution:
 
     Returns a vertex optimum with its basis and per-row dual multipliers.
     The pivot rule is fixed, so identical inputs give bit-identical output.
-    This is ``solve_lp_stack``'s solve routine on a stack of one program,
-    pivoting in ``_simplex``; a numerical breakdown raises its ``SolverError``.
+    A numerical breakdown raises ``SolverError``.
 
     ``basis`` may be an earlier solution's ``LpSolution.basis``, such as the
     neighbouring ray's.  If ``_reused`` certifies it as this program's unique
     optimal basis, the solution is read from it without pivoting; otherwise
-    the program is solved cold, as without it.
+    the program is solved cold (``_solve``), as without it.
     """
     if basis:
         sol = _reused(lp, basis)
         if sol is not None:
             return sol
-    sol = _solve_chunk(lp, lp.matrix[None])[0]
-    if isinstance(sol, SolverError):
-        raise sol
-    return sol
+    return _solve(lp)
 
 
-def solve_lp_stack(template: LinearProgram, matrices) -> list[LpSolution | SolverError]:
-    """Solve programs that differ from ``template`` only in their constraint matrix.
-
-    ``matrices`` is a (B, m, n) stack; each program shares the template's
-    objective, relations, rhs, bounds and sense.  The stack runs through the
-    two-phase simplex in lockstep (``_simplex_stack``), in chunks of at most
-    ``STACK_CHUNK`` programs: every program takes the pivots it would take
-    alone, so entry ``b`` of the result equals ``solve_lp`` on program ``b``
-    bit for bit.  A numerical breakdown fails only its own program, whose
-    entry is then the ``SolverError`` that ``solve_lp`` raises for it.
-    """
-    mats = _checked(matrices, template.matrix.shape, True)
-    out = []
-    for start in range(0, len(mats), STACK_CHUNK):
-        out += _solve_chunk(template, mats[start:start + STACK_CHUNK])
-    return out
+def _checked(matrix, shape: tuple[int, int]) -> np.ndarray:
+    """``matrix`` as floats; rejected unless its shape is ``shape`` (rows x
+    variables) and every entry is finite."""
+    mat = np.asarray(matrix, dtype=float)
+    if mat.shape != shape:
+        raise ValidationError(f"matrix shape {mat.shape} does not match the program's {shape}")
+    if not np.isfinite(mat).all():
+        raise ValidationError("matrix must be finite")
+    return mat
 
 
-def _checked(matrices, shape: tuple[int, int], stacked: bool) -> np.ndarray:
-    """``matrices`` as floats, one (m, n) matrix or, if ``stacked``, a (B, m, n)
-    stack; rejected unless (m, n) is ``shape`` (rows x variables) and every
-    entry is finite."""
-    mats = np.asarray(matrices, dtype=float)
-    what = "matrix stack" if stacked else "matrix"
-    if mats.ndim != 2 + stacked or mats.shape[-2:] != shape:
-        raise ValidationError(f"{what} shape {mats.shape} does not match the program's {shape}")
-    if not np.isfinite(mats).all():
-        raise ValidationError(f"{what} must be finite")
-    return mats
-
-
-def _solve_chunk(lp: LinearProgram, mats: np.ndarray) -> list[LpSolution | SolverError]:
-    """The two-phase simplex on a (B, m, n) stack of ``lp``'s programs."""
+def _solve(lp: LinearProgram) -> LpSolution:
+    """The two-phase simplex on ``lp``, from the slack and artificial basis."""
     (var, sign, scale, s_j, s_k, s_sign, f_j, f_k, row_sign, ident_col, artificial,
      block, cost1, limit, _) = _start(lp.bounds, lp.relations, lp.rhs.tobytes())
     cost2 = _phase2_cost(lp, var, sign, artificial.size)
     # the start tableau: the cached block, then the matrix columns of the rewrite
-    table = np.empty(mats.shape[:-1] + block.shape[-1:])
-    table[...] = block
-    np.multiply(mats.take(var, axis=2), scale, out=table[..., :var.size])
-    basis = ident_col[None].repeat(len(mats), 0)
-    ncols = artificial.size
-    out: list = [None] * len(mats)
-    members = np.arange(len(mats))
-    drop = np.zeros(basis.shape, dtype=bool)
+    table = block.copy()
+    np.multiply(lp.matrix.take(var, axis=1), scale, out=table[:, :var.size])
+    basis = ident_col.copy()
 
     # Phase 1: drive the artificial variables to zero.
     if artificial.any():
-        members, status = _run_simplex(table, basis, cost1, np.ones(ncols, dtype=bool))
-        infeas = -(cost1[basis][:, None, :] @ table[:, :, -1:])[:, 0, 0]
-        for r, st, inf in zip(members, status, infeas):
-            if isinstance(st, SolverError):
-                out[r] = st
-            elif st != "optimal":
-                out[r] = SolverError("phase-1 subproblem reported unbounded")
-            elif inf > limit:
-                out[r] = _no_optimum(lp, "infeasible")
-        feasible = [out[r] is None for r in members]
-        if not any(feasible):
-            return out
-        if not all(feasible):
-            table, basis, members = table[feasible], basis[feasible], members[feasible]
-        drop = _purge_stack(table, basis, artificial)
+        if _simplex(table, basis, cost1, np.ones(artificial.size, dtype=bool)) != "optimal":
+            raise SolverError("phase-1 subproblem reported unbounded")
+        if -(cost1[basis][None] @ table[:, -1:])[0, 0] > limit:
+            return _no_optimum(lp, "infeasible")
+        keep = _purge(table, basis, artificial)
+        table, basis = table[keep], basis[keep]
 
     # Phase 2: original objective, artificial columns barred from entering.
-    # Programs that dropped different redundant rows no longer share a shape;
-    # each drop pattern continues as its own stack with its rows deleted (a
-    # kept zero row would change BLAS's summation order).
-    stacks = [(members, table, basis)]
-    if drop.any():
-        stacks = []
-        for pattern in np.unique(drop, axis=0):
-            sel = np.nonzero((drop == pattern).all(axis=1))[0]
-            rows = np.ix_(sel, ~pattern)
-            stacks.append((members[sel], table[rows], basis[rows]))
-    for progs, T, bas in stacks:
-        order, status = _run_simplex(T, bas, cost2, ~artificial)
-        progs = progs[order]
-        U = np.zeros((len(T), ncols))
-        U[np.arange(len(T))[:, None], bas] = T[:, :, -1]
-        X = _points(lp, U, s_j, s_k, s_sign, f_j, f_k)
-        # Duals: each row's identity column (its slack or artificial) holds
-        # that row's component of the basis inverse, so y_i = c_B @ column.
-        # This stays valid for rows whose tableau row was dropped as redundant.
-        # ``np.take`` lays the columns out n_rows apart, so each product is
-        # the strided BLAS dot that ``c_B @ column`` takes on one tableau (a
-        # unit-stride dot sums in another order and changes the last bits).
-        cols = np.take(T, ident_col, axis=2).transpose(0, 2, 1)[..., None]
-        duals = row_sign * (cost2[bas][:, None, None, :] @ cols)[..., 0, 0]
-        if lp.sense == "min":
-            duals = -duals
-        for s, (r, st) in enumerate(zip(progs, status)):
-            if st == "optimal":
-                out[r] = LpSolution("optimal", float(lp.objective @ X[s]), X[s],
-                                    tuple(sorted(bas[s].tolist())), duals[s])
-            else:
-                out[r] = st if isinstance(st, SolverError) else _no_optimum(lp, st)
-    return out
+    status = _simplex(table, basis, cost2, ~artificial)
+    if status != "optimal":
+        return _no_optimum(lp, status)
+    u = np.zeros(artificial.size)
+    u[basis] = table[:, -1]
+    x = _points(lp, u, s_j, s_k, s_sign, f_j, f_k)
+    # Duals: each row's identity column (its slack or artificial) holds that
+    # row's component of the basis inverse, so y_i = c_B @ column.  This stays
+    # valid for rows dropped as redundant.  ``np.take`` lays the columns out
+    # n_rows apart, so each product is a strided BLAS dot (a unit-stride dot
+    # sums in another order and changes the last bits).
+    cols = np.take(table, ident_col, axis=1).T[:, :, None]
+    duals = row_sign * (cost2[basis][None, None, :] @ cols)[:, 0, 0]
+    if lp.sense == "min":
+        duals = -duals
+    return LpSolution("optimal", float(lp.objective @ x), x, tuple(sorted(basis.tolist())), duals)
 
 
 def _phase2_cost(lp: LinearProgram, var: np.ndarray, sign: np.ndarray, ncols: int) -> np.ndarray:
@@ -427,17 +362,6 @@ def certify_stack(lp: LinearProgram, mats: np.ndarray,
     return Certificate(x, duals, reduced, feasible)
 
 
-def _run_simplex(table: np.ndarray, basis: np.ndarray, cost: np.ndarray, allowed: np.ndarray):
-    """The simplex on a (B, m, w) stack, returning ``_simplex_stack``'s (order, outcome).
-
-    The only size-dependent step of a solve: a lone program takes ``_simplex``,
-    whose pivot costs about 18 us against 88 us for ``_simplex_stack`` at B = 1.
-    """
-    if len(table) > 1:
-        return _simplex_stack(table, basis, cost, allowed)
-    return np.zeros(1, dtype=int), [_simplex(table[0], basis[0], cost, allowed)]
-
-
 def _no_optimum(lp: LinearProgram, status: str) -> LpSolution:
     if status == "infeasible":
         value = math.nan
@@ -497,11 +421,10 @@ def _start(bounds: tuple, relations: tuple, rhs: bytes) -> tuple:
     return start + (FEASIBILITY_TOL * max(1.0, float(np.abs(b).max(initial=0.0))), first_art)
 
 
-def _simplex(table: np.ndarray, basis: np.ndarray, cost: np.ndarray,
-             allowed: np.ndarray) -> str | SolverError:
+def _simplex(table: np.ndarray, basis: np.ndarray, cost: np.ndarray, allowed: np.ndarray) -> str:
     """Run primal simplex iterations in place; the start basis must be feasible.
 
-    Returns "optimal", "unbounded", or the ``SolverError`` of a breakdown.
+    Returns "optimal" or "unbounded"; a numerical breakdown raises ``SolverError``.
     """
     m, w = table.shape
     A, rhs, c = table[:, :w - 1], table[:, -1], cost[:w - 1]
@@ -515,12 +438,11 @@ def _simplex(table: np.ndarray, basis: np.ndarray, cost: np.ndarray,
         else:
             return "optimal"
 
-        # the ratio test on Python floats: the IEEE ops of _simplex_stack's arrays
         col, b = table[:, j].tolist(), rhs.tolist()
         rows = [r for r in range(m) if col[r] > _RATIO_ELIG_TOL]
         if not rows:
             if any(v > PIVOT_TOL for v in col):
-                return SolverError("only near-singular pivots available")
+                raise SolverError("only near-singular pivots available")
             return "unbounded"
         step = min([(b[r] + _HARRIS_TOL) / col[r] for r in rows])
         ties = [r for r in rows if b[r] / col[r] <= step]
@@ -529,130 +451,39 @@ def _simplex(table: np.ndarray, basis: np.ndarray, cost: np.ndarray,
         least = max([col[r] for r in ties]) * (1.0 - 1e-9)
         i = min([r for r in ties if col[r] >= least], key=bas.__getitem__)
 
-        row = table[i] / table[i, j]  # col[i] > _RATIO_ELIG_TOL > PIVOT_TOL
-        table -= table[:, j, None] * row
-        table[i] = row
-        basis[i] = bas[i] = j
+        _pivot(table, basis, i, j)  # col[i] > _RATIO_ELIG_TOL > PIVOT_TOL
+        bas[i] = j
         np.maximum(rhs, 0.0, out=rhs)
-    return SolverError("simplex exceeded the pivot budget (numerical breakdown)")
+    raise SolverError("simplex exceeded the pivot budget (numerical breakdown)")
 
 
-def _simplex_stack(table: np.ndarray, basis: np.ndarray, cost: np.ndarray,
-                   allowed: np.ndarray):
-    """``_simplex`` on every program of a (B, m, w) stack, in lockstep.
-
-    Each program gets ``_simplex``'s entering rule, ratio test and rhs clip.
-    A program that finishes is swapped behind those still pivoting, so the
-    stack ends permuted: returns (order, outcome), where slot ``s`` of
-    ``table`` and ``basis`` holds the final state of program ``order[s]`` and
-    ``outcome[s]`` is what ``_simplex`` returns for it.
-    """
-    ncols = table.shape[2] - 1
-    order = np.arange(len(table))
-    outcome: list = [None] * len(table)  # by program
-    n = len(table)  # slots [0, n) still pivoting
-    scratch = np.empty_like(table)
-    for _ in range(_MAX_PIVOTS):
-        T, bas = table[:n], basis[:n]
-        at = np.arange(n)
-        reduced = cost[:ncols] - (cost[bas][:, None, :] @ T[:, :, :ncols])[:, 0, :]
-        reduced[:, ~allowed] = -1.0
-        reduced[at[:, None], bas] = -1.0
-        improving = reduced > _COST_TOL
-        j = improving.argmax(axis=1)  # Bland: lowest-index improving column
-        col = T[at, :, j]
-        elig = col > _RATIO_ELIG_TOL
-
-        going = improving.any(axis=1) & elig.any(axis=1)
-        if not going.all():
-            for r in np.nonzero(~going)[0]:
-                if not improving[r].any():
-                    outcome[order[r]] = "optimal"
-                elif (col[r] > PIVOT_TOL).any():
-                    outcome[order[r]] = SolverError("only near-singular pivots available")
-                else:
-                    outcome[order[r]] = "unbounded"
-            n, moved = _partition(table, basis, order, going)
-            if n == 0:
-                return order, [outcome[r] for r in order]
-            T, bas, at = table[:n], basis[:n], at[:n]
-            j, col, elig = j[moved], col[moved], elig[moved]
-
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(elig, T[:, :, -1] / col, _INF)
-            step = np.where(elig, (T[:, :, -1] + _HARRIS_TOL) / col, _INF).min(axis=1)
-        ties = elig & (ratios <= step[:, None])
-        mag = np.where(ties, col, -_INF).max(axis=1)
-        big = ties & (col >= (mag * (1.0 - 1e-9))[:, None])
-        i = np.where(big, bas, ncols).argmin(axis=1)
-
-        # every eligible pivot exceeds _RATIO_ELIG_TOL > PIVOT_TOL
-        _pivot_stack(T, bas, i, j, scratch)
-        rhs = T[:, :, -1]
-        np.clip(rhs, 0.0, None, out=rhs)
-    for r in order[:n]:
-        outcome[r] = SolverError("simplex exceeded the pivot budget (numerical breakdown)")
-    return order, [outcome[r] for r in order]
+def _pivot(table: np.ndarray, basis: np.ndarray, i: int, j: int) -> None:
+    """Pivot ``table`` in place on row ``i``, column ``j``, which enters ``basis``."""
+    row = table[i] / table[i, j]
+    table -= table[:, j, None] * row
+    table[i] = row
+    basis[i] = j
 
 
-def _partition(table, basis, order, going):
-    """Swap the slots of ``table[:len(going)]`` not ``going`` behind those that are.
-
-    Swaps ``basis`` and ``order`` alike.  Returns the number of going slots and,
-    for each of them in its new place, the slot it came from.
-    """
-    n = int(going.sum())
-    moved = np.arange(len(going))
-    for p, q in zip(np.nonzero(~going[:n])[0], np.nonzero(going[n:])[0] + n):
-        for a in (table, basis, order):
-            a[[p, q]] = a[[q, p]]
-        moved[p], moved[q] = q, p
-    return n, moved[:n]
-
-
-def _pivot_stack(T: np.ndarray, bas: np.ndarray, i: np.ndarray, j: np.ndarray,
-                 scratch: np.ndarray) -> None:
-    """``_simplex``'s pivot on row ``i[r]``, column ``j[r]`` of every program ``r``.
-
-    ``scratch`` is at least as long as ``T``; reusing it across pivots saves
-    allocating (and page-faulting) a tableau-sized update each time.
-    """
-    at = np.arange(len(T))
-    row = T[at, i, :] / T[at, i, j][:, None]
-    colv = T[at, :, j]
-    T -= np.multiply(colv[:, :, None], row[:, None, :], out=scratch[:len(T)])
-    T[at, i, :] = row
-    bas[at, i] = j
-
-
-def _purge_stack(T: np.ndarray, bas: np.ndarray, artificial: np.ndarray) -> np.ndarray:
-    """Pivot each program's zero-level artificials out of its basis, in place.
+def _purge(table: np.ndarray, basis: np.ndarray, artificial: np.ndarray) -> np.ndarray:
+    """Pivot the zero-level artificials out of ``basis``, in place.
 
     An artificial row pivots on its lowest non-artificial, non-basic column
     with an entry above ``FEASIBILITY_TOL``; a row with none is redundant.
-    Returns the (B, m) mask of the rows each program drops as redundant.
+    Returns the mask of the rows to keep.
     """
-    at = np.arange(len(T))
-    art_rows = artificial[bas]
-    drop = np.zeros(bas.shape, dtype=bool)
+    keep = np.ones(len(basis), dtype=bool)
     # a purge pivot leaves the other rows' basic variables as they are, so
     # the rows to visit are those that start with an artificial one
-    for pos in np.nonzero(art_rows.any(axis=0))[0]:
-        art = art_rows[:, pos]
-        eligible = np.tile(~artificial, (len(T), 1))
-        eligible[at[:, None], bas] = False  # a column can be basic in one row only
-        cand = (np.abs(T[:, pos, :-1]) > FEASIBILITY_TOL) & eligible
-        has = cand.any(axis=1)
-        drop[:, pos] = art & ~has
-        sel = np.nonzero(art & has)[0]
-        if sel.size == len(T):  # every program: pivot in place, without a copy
-            _pivot_stack(T, bas, np.full(sel.size, pos), cand.argmax(axis=1), np.empty_like(T))
-        elif sel.size:
-            sub, sub_bas = T[sel], bas[sel]
-            _pivot_stack(sub, sub_bas, np.full(sel.size, pos), cand[sel].argmax(axis=1),
-                         np.empty_like(sub))
-            T[sel], bas[sel] = sub, sub_bas
-    return drop
+    for pos in np.nonzero(artificial[basis])[0]:
+        eligible = ~artificial
+        eligible[basis] = False  # a column can be basic in one row only
+        cand = np.nonzero((np.abs(table[pos, :-1]) > FEASIBILITY_TOL) & eligible)[0]
+        if cand.size:
+            _pivot(table, basis, pos, cand[0])
+        else:
+            keep[pos] = False
+    return keep
 
 
 def dual_of(lp: LinearProgram) -> LinearProgram:

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import ChannelGains, ValidationError
+from .core import ChannelGains, ValidationError, as_integer
 
 _EPS = 1e-12
 
@@ -63,7 +63,9 @@ def ray_grid(theta_points: int) -> list[tuple[float, float]]:
 
     ``theta_points`` interior angles span [0.5, 89.5] degrees uniformly; one
     within 1e-9 of 45 degrees is snapped to the symmetric ray.
+    ``theta_points`` must be an integer (a numpy one too) of at least 3.
     """
+    theta_points = as_integer("theta_points", theta_points)
     if theta_points < 3:
         raise ValidationError(f"theta_points must be >= 3, got {theta_points}")
     lo, hi = 0.5, 89.5

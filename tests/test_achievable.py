@@ -29,7 +29,6 @@ from twrc import LinearProgram, OuterPoint, achievable, outer
 from twrc import lp as lp_module
 from twrc.achievable import BoundaryPoint, _df_point, lp_optimum, lp_shares
 from twrc.core import ACTIVE_STATE_TOL, ray_rates, tie_ray
-from twrc.lp import STACK_CHUNK
 from conftest import band_channels, exact_basis, highs_ray_rate, random_gains, wide_channels
 
 # closed form C(1)C(2)/(2C(1) + C(2)) for unit gains at k = 1
@@ -281,7 +280,6 @@ class TestSixStateDfStacked:
         assert changed == [(3, 1e6), (33, 1.0), (47, 1e6)]
 
     def test_grid_spanning_several_chunks(self, case_b):
-        assert 17 * 17 > STACK_CHUNK
         assert (df_outcome(six_state_df_boundary, 0.7, case_b, alpha_grid=17, refine=False)
                 == df_outcome(df_point_by_point, 0.7, case_b, alpha_grid=17, refine=False))
 
@@ -371,7 +369,7 @@ class TestSixStateDfBounds:
             key = id(splits)
             if key not in cold:
                 mats = achievable._with_splits(template, splits)
-                cold[key] = np.array([sol.x[0] for sol in lp_module.solve_lp_stack(template, mats)])
+                cold[key] = np.array([solve_lp(template.with_matrix(mat)).x[0] for mat in mats])
             if (cold[key] > out * (1.0 + achievable._DF_READ_RTOL)).any():
                 over.append((template.matrix[0, 0], np.nonzero(cold[key] > out)[0]))
         assert over == []
@@ -786,19 +784,19 @@ def sweep_solves(cases):
     evaluators over ``cases`` ((name, gains, ks)), and how many solves
     pivoted, per case name."""
     solves, cold = [], collections.Counter()
-    real_chunk = lp_module._solve_chunk
+    real_solve = lp_module._solve
     with pytest.MonkeyPatch.context() as mp:
         def record(lp, basis=()):
             sol = solve_lp(lp, basis)
             solves.append((case, lp, basis, sol))
             return sol
 
-        def chunk(lp, mats):
+        def cold_solve(lp):
             cold[case] += 1
-            return real_chunk(lp, mats)
+            return real_solve(lp)
 
         mp.setattr(achievable, "solve_lp", record)
-        mp.setattr(lp_module, "_solve_chunk", chunk)
+        mp.setattr(lp_module, "_solve", cold_solve)
         for case, g, ks in cases:
             for name in LP_SYSTEMS:
                 evaluate = protocol_evaluator(name, g)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from twrc import (
@@ -89,6 +90,21 @@ class TestScenario:
         f.write_text("name = x\n")
         with pytest.raises(ValidationError, match="missing required"):
             load_scenario(f)
+
+    @pytest.mark.parametrize("field", ["theta_points", "alpha_grid"])
+    @pytest.mark.parametrize("value", [3.5, 4.0, "5"])
+    def test_grid_sizes_must_be_integers(self, field, value):
+        # refused when the scenario is built, before any sweep starts
+        with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+            preset_scenario("case-a", **{field: value})
+
+    def test_grid_sizes_take_numpy_integers(self, tmp_path):
+        sc = preset_scenario("case-a", theta_points=np.int64(3), alpha_grid=np.int32(2),
+                             protocols=("six-state-df",))
+        assert type(sc.theta_points) is int and type(sc.alpha_grid) is int
+        run_compare(sc, out_dir=tmp_path)
+        summary = json.loads((tmp_path / "case-a_summary.json").read_text())
+        assert (summary["scenario"]["theta_points"], summary["scenario"]["alpha_grid"]) == (3, 2)
 
 
 @pytest.fixture(scope="module")

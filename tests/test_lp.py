@@ -13,11 +13,9 @@ from twrc import (
     preset_scenario,
     ray_grid,
     solve_lp,
-    solve_lp_stack,
 )
-from twrc import achievable, cli, outer
+from twrc import achievable, outer
 from twrc import lp as lp_module
-from conftest import wide_channels
 
 
 def random_feasible_bounded_lp(rng, max_vars=10):
@@ -226,13 +224,14 @@ def assert_same_solution(got, want):
 
 
 def assert_stack_matches_scalar(template, mats):
-    sols = solve_lp_stack(template, mats)
-    assert len(sols) == len(mats)
+    """Solve each matrix of the (B, m, n) stack ``mats`` as a program derived
+    from ``template``, one after another; each result must be the freshly
+    built program's, bit for bit.  Returns the results (or breakdowns)."""
     wants = []
-    for sol, mat in zip(sols, mats):
+    for mat in mats:
         want = solve_or_error(LinearProgram(template.objective, mat, template.relations,
                                             template.rhs, template.bounds, template.sense))
-        assert_same_solution(sol, want)
+        assert_same_solution(solve_or_error(template.with_matrix(mat)), want)
         wants.append(want)
     return wants
 
@@ -304,42 +303,17 @@ def test_stack_breakdown_fails_only_its_own_program():
     assert [w.status for w in (wants[0], wants[2])] == ["optimal", "optimal"]
 
 
-def test_stack_chunks_and_mixed_drop_patterns(monkeypatch):
-    monkeypatch.setattr(lp_module, "STACK_CHUNK", 3)
+def test_mixed_drop_patterns():
+    # programs of one template, every other one with a redundant row, solved
+    # one after another: those drop the row, and the rest keep all three (the
+    # last is infeasible)
     rng = np.random.default_rng(4)
     template = LinearProgram(rng.uniform(-1, 1, 4), np.zeros((3, 4)), ("=", "=", "<="),
                              [1.0, 2.0, 5.0])
     mats = rng.uniform(0.0, 2.0, size=(10, 3, 4))
     mats[::2, 1] = 2.0 * mats[::2, 0]  # every other program has a redundant row
-    assert_stack_matches_scalar(template, mats)
-
-
-def test_lone_loop_matches_lockstep_loop_on_protocol_programs(monkeypatch):
-    # every program the outer bound and the five LP protocols solve, and DF
-    # without a direct link (one program per ray), over the whole SNR range:
-    # solve_lp pivots it in _simplex, a stack of two in _simplex_stack
-    solved = []
-
-    def solve_both_ways(lp, basis=()):
-        want = solve_or_error(lp)
-        assert_same_solution(solve_lp_stack(lp, [lp.matrix, lp.matrix])[0], want)
-        solved.append(want)
-        return solve_lp(lp, basis)  # the evaluator's own solve, from its basis
-
-    monkeypatch.setattr(achievable, "solve_lp", solve_both_ways)
-    monkeypatch.setattr(outer, "solve_lp", solve_both_ways)
-    ids = ("outer", "mabc", "tdbc", "hbc", "six-state", "comabc")
-    calls = 0
-    for g in wide_channels(np.random.default_rng(2026), 60):
-        # DF solves one program per ray only without a direct link
-        for name in ids + (("six-state-df",) if g.gamma3 == 0.0 else ()):
-            for k in (0.0, 0.3, 1.0, 2.5, 1e6, math.inf):
-                calls += 1
-                try:
-                    cli.protocol_evaluator(name, g, alpha_grid=2)(k)
-                except SolverError:
-                    pass
-    assert len(solved) == calls > 60 * 6 * len(ids)
+    wants = assert_stack_matches_scalar(template, mats)
+    assert [len(w.basis) for w in wants] == [2, 3] * 4 + [2, 0]
 
 
 def test_derived_program_equals_a_fresh_one():
@@ -412,14 +386,6 @@ def test_derived_program_rejects_a_bad_matrix():
         with pytest.raises(ValidationError):
             t.with_matrix(bad)
     assert t.matrix.tolist() == [[1.0, 1.0]]
-
-
-def test_stack_rejects_bad_input():
-    t = LinearProgram([1.0, 1.0], [[1.0, 1.0]], ("<=",), [1.0])
-    with pytest.raises(ValidationError):
-        solve_lp_stack(t, np.ones((2, 2, 2)))
-    with pytest.raises(ValidationError):
-        solve_lp_stack(t, np.full((2, 1, 2), math.nan))
 
 
 def reused_decision(lp, basis):
@@ -530,7 +496,7 @@ def test_certified_df_rates_match_cold_solves(monkeypatch):
             for _, k in ray_grid(3):
                 achievable.six_state_df_boundary(k, gains, alpha_grid=grid)
                 for lp, mats, rates in stages[-1] + stages[-2]:
-                    cold = [sol.x[0] for sol in solve_lp_stack(lp, mats)]
+                    cold = [solve_lp(lp.with_matrix(mat)).x[0] for mat in mats]
                     assert np.allclose(rates, cold, rtol=achievable._DF_READ_RTOL, atol=0.0), \
                         (name, grid, k)
     # most stages read some rate (78 of the 80 do)

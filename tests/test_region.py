@@ -17,6 +17,7 @@ from twrc import (
     outer_ratio_bound,
     preset_scenario,
     protocol_evaluator,
+    ray_grid,
     six_state_df_boundary,
     support_along_ray,
     sweep_region,
@@ -49,6 +50,14 @@ class TestSweep:
     def test_rejects_tiny_grid(self, case_a):
         with pytest.raises(ValidationError):
             sweep_region(unit_square_evaluator, case_a, 2)
+
+    @pytest.mark.parametrize("value", [3.5, 4.0, "5"])
+    def test_grid_size_must_be_an_integer(self, value):
+        with pytest.raises(ValidationError, match="theta_points must be an integer"):
+            ray_grid(value)
+
+    def test_grid_size_takes_numpy_integers(self):
+        assert ray_grid(np.int64(5)) == ray_grid(5)
 
     def test_evaluator_failure_reports_angle(self, case_a):
         def broken(k):
