@@ -21,6 +21,7 @@ from .core import (
     TimeShares,
     ValidationError,
     as_integer,
+    as_real,
     cap,
     link_capacities,
     ray_rates,
@@ -42,9 +43,10 @@ class PowerSplit:
 
     def __post_init__(self) -> None:
         for name in ("alpha1", "alpha2"):
-            v = getattr(self, name)
+            v = as_real(getattr(self, name))
             if not (isinstance(v, (int, float)) and math.isfinite(v)) or not 0.0 <= v <= 1.0:
                 raise ValidationError(f"{name} must lie in [0, 1], got {v!r}")
+            object.__setattr__(self, name, v)
 
 
 @dataclass(frozen=True)
@@ -329,6 +331,10 @@ def six_state_df_boundary(k: float, gains: ChannelGains, alpha_grid: int = 33,
     refinement pass (a 9x9 sub-grid one base spacing wide around the best
     point).  A stage keeps its first point, in grid order, within
     ``_DF_TIE_RTOL`` of its best rate; the refinement must beat that by more.
+    The refinement starts from the coarse pick's rate (its incumbent): it
+    rates no split its bounds put surely below that rate, and none at all
+    where they prove that no refinement split beats it by more; the coarse
+    pick then stands.
     Each grid stage bounds every split's rate by weak duality from the duals
     of the splits it has rated and rates only the splits those bounds leave
     in contention, most of them from the optimal bases of a few solved
@@ -362,16 +368,19 @@ def six_state_df_boundary(k: float, gains: ChannelGains, alpha_grid: int = 33,
         b1, b2 = best[2], best[3]
         sub1 = np.linspace(max(0.0, b1 - radius), min(1.0, b1 + radius), 9)
         sub2 = np.linspace(max(0.0, b2 - radius), min(1.0, b2 + radius), 9)
-        fine, _ = _df_best(template, gains, sub1, sub2, bases, duals, trusted)
-        if fine[0][0] - best[0][0] > _DF_TIE_RTOL * best[0][0]:
+        fine, _ = _df_best(template, gains, sub1, sub2, bases, duals, trusted, best[0][0])
+        if fine is not None and fine[0][0] - best[0][0] > _DF_TIE_RTOL * best[0][0]:
             best = fine
     return _df_boundary_point(k, *best)
 
 
 def _df_best(template: LinearProgram, gains: ChannelGains, axis1, axis2,
-             bases: list[tuple[int, ...]], duals: list[np.ndarray], trusted: bool):
+             bases: list[tuple[int, ...]], duals: list[np.ndarray], trusted: bool,
+             incumbent: float = -math.inf):
     """The best split of ``axis1`` x ``axis2`` as ((x, shares, alpha1,
-    alpha2), trusted); x[0] is the rate the ray program maximizes.
+    alpha2), trusted); x[0] is the rate the ray program maximizes.  With an
+    ``incumbent`` rate, the result is (None, trusted) unless some split may
+    beat it by more than ``_DF_TIE_RTOL``.
 
     A branch-and-bound over the grid.  Every dual the search holds
     (``duals``: the multipliers of each split rated so far, in this stage
@@ -404,6 +413,17 @@ def _df_best(template: LinearProgram, gains: ChannelGains, axis1, axis2,
     shares come from its own solve.  If any solve fails, every split of the
     stage is solved, which raises what a point-by-point search of the grid
     raises.
+
+    The incumbent (the coarse pick's cold rate, for the refinement) is a
+    rate the stage must beat.  If every bound, widened by ``_DF_READ_RTOL``,
+    lies within ``_DF_TIE_RTOL`` of the incumbent (a stage that does not
+    trust its bounds starts with none finite), no split can beat it and the
+    stage returns None before it rates any.  Otherwise the incumbent is a floor under the best rate: a
+    split surely below it is out, and a stage with no split left live
+    returns None.  Where the stage's best rate beats the incumbent by more
+    than ``_DF_TIE_RTOL``, every split within that of the best lies above
+    the incumbent, so the floor keeps each split a point-by-point search
+    could keep.
     """
     splits = _df_splits(gains, axis1, axis2)
     bounds_of = _df_bounds(template, splits, len(axis2))
@@ -412,6 +432,8 @@ def _df_best(template: LinearProgram, gains: ChannelGains, axis1, axis2,
     solved: dict[int, tuple[np.ndarray, TimeShares, tuple[int, ...]]] = {}
     rated = np.zeros(len(splits), dtype=bool)
     cold = np.zeros(len(splits), dtype=bool)
+    if (bound * (1.0 + _DF_READ_RTOL) - incumbent <= _DF_TIE_RTOL * incumbent).all():
+        return None, trusted  # no split can beat the incumbent
 
     def stacks(at):  # the splits at ``at``, _DF_CHUNK at a time, and their matrices
         for start in range(0, len(at), _DF_CHUNK):
@@ -443,22 +465,24 @@ def _df_best(template: LinearProgram, gains: ChannelGains, axis1, axis2,
                 return
         solve(at)
 
-    def state():  # the pick, and the live splits that may still displace it
+    def state():  # the pick (None if none is live), and the live splits that may displace it
         nonlocal trusted
         cap = bound * (1.0 + _DF_READ_RTOL)  # a bound on the cold rate, with its round-off
         trusted = trusted and not (rated & (rates > cap)).any()
         slack = np.where(cold, 0.0, _DF_READ_RTOL * rates)
         lo = np.where(rated, rates - slack, -np.inf)
         hi = np.where(rated, rates + slack, cap if trusted else np.inf)
-        top = lo.max()
+        top = max(lo.max(), incumbent)
         live = top - hi <= _DF_TIE_RTOL * top  # not surely out
+        if not live.any():
+            return None, live
         pick = int(np.argmax(live))
         return pick, live & (~(hi - lo[pick] <= _DF_TIE_RTOL * hi) | (hi == np.inf))
 
     size, held = 1, len(duals)
     try:
         pick, beyond = state()
-        while True:
+        while pick is not None:
             todo = np.nonzero(beyond & ~rated)[0]
             if todo.size:
                 # the pick first (unless none is rated: then it is just the
@@ -486,6 +510,8 @@ def _df_best(template: LinearProgram, gains: ChannelGains, axis1, axis2,
     except SolverError:
         solve(np.arange(len(splits)))  # raises the first failing split in grid order
         raise
+    if pick is None:
+        return None, trusted
     x, shares, basis = solved[pick]
     bases.remove(basis)
     bases.insert(0, basis)

@@ -35,6 +35,7 @@ from .core import (
     ChannelGains,
     ValidationError,
     as_integer,
+    as_real,
     db_to_linear,
     is_ra_axis,
     linear_to_db,
@@ -122,9 +123,10 @@ class Scenario:
                 f"scenario name must be a plain file name without path separators, "
                 f"got {self.name!r}")
         for nm in ("gamma1_db", "gamma2_db", "gamma3_db"):
-            v = getattr(self, nm)
+            v = as_real(getattr(self, nm))
             if not (isinstance(v, (int, float)) and math.isfinite(v)):
                 raise ValidationError(f"{nm} must be finite, got {v!r}")
+            object.__setattr__(self, nm, v)
         for nm in ("theta_points", "alpha_grid"):
             object.__setattr__(self, nm, as_integer(nm, getattr(self, nm)))
         if not 3 <= self.theta_points <= MAX_THETA_POINTS:

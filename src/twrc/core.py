@@ -19,6 +19,7 @@ class ValidationError(ValueError):
 
 def cap(gamma: float) -> float:
     """Capacity log2(1 + gamma) of a complex Gaussian channel with linear SNR gamma."""
+    gamma = as_real(gamma)
     if not _finite(gamma) or gamma < 0.0:
         raise ValidationError(f"SNR must be finite and non-negative, got {gamma!r}")
     return math.log2(1.0 + gamma)
@@ -26,6 +27,7 @@ def cap(gamma: float) -> float:
 
 def db_to_linear(snr_db: float) -> float:
     """Convert an SNR from decibels to linear scale: 10^(snr_db / 10)."""
+    snr_db = as_real(snr_db)
     if not _finite(snr_db):
         raise ValidationError(f"dB value must be finite, got {snr_db!r}")
     try:
@@ -36,6 +38,7 @@ def db_to_linear(snr_db: float) -> float:
 
 def linear_to_db(snr: float) -> float:
     """Convert a positive linear SNR to decibels."""
+    snr = as_real(snr)
     if not _finite(snr) or snr <= 0.0:
         raise ValidationError(f"linear SNR must be finite and positive, got {snr!r}")
     return 10.0 * math.log10(snr)
@@ -50,6 +53,16 @@ def as_integer(name: str, value) -> int:
         raise ValidationError(f"{name} must be an integer, got {value!r}") from None
 
 
+_NUMPY_REAL = (np.integer, np.floating)
+
+
+def as_real(value):
+    """``value`` as a Python float if it is a numpy real scalar (np.float32,
+    np.int64, ...), so checks and arithmetic see the float it stands for;
+    any other value as it is (Python ints and floats keep their results)."""
+    return float(value) if isinstance(value, _NUMPY_REAL) else value
+
+
 def _finite(x) -> bool:
     return isinstance(x, (int, float)) and math.isfinite(x)
 
@@ -59,6 +72,7 @@ def is_ra_axis(k: float) -> bool:
 
     k must be finite and >= 0, or +inf, which stands for the Ra axis (Rb = 0).
     """
+    k = as_real(k)
     if isinstance(k, float) and k == math.inf:
         return True
     if not (math.isfinite(k) and k >= 0.0):
@@ -81,7 +95,7 @@ def tie_ray(matrix, k: float) -> np.ndarray:
 
 def ray_rates(rate: float, k: float) -> tuple[float, float]:
     """(Ra, Rb) on the ray Ra = k*Rb from the rate R that ``tie_ray`` keeps."""
-    rate = float(rate)
+    rate, k = float(rate), as_real(k)
     return (k * rate, rate) if k <= 1.0 else (rate, rate / k)
 
 
@@ -103,7 +117,7 @@ class ChannelGains:
 
     def __post_init__(self) -> None:
         for name in ("gamma1", "gamma2", "gamma3"):
-            v = getattr(self, name)
+            v = as_real(getattr(self, name))
             if not _finite(v) or v < 0.0:
                 raise ValidationError(f"{name} must be finite and non-negative, got {v!r}")
             object.__setattr__(self, name, float(v))
@@ -129,6 +143,7 @@ def validate_gains(g1: float, g2: float, g3: float, auto_swap: bool = False) -> 
     exchanged and the swap is recorded on the result.  A direct link stronger
     than either relay link is rejected in any case.
     """
+    g1, g2, g3 = map(as_real, (g1, g2, g3))
     for name, v in (("gamma1", g1), ("gamma2", g2), ("gamma3", g3)):
         if not _finite(v) or v < 0.0:
             raise ValidationError(f"{name} must be finite and non-negative, got {v!r}")

@@ -21,6 +21,7 @@ from .core import (
     LinkCaps,
     TimeShares,
     ValidationError,
+    as_real,
     cap,
     link_capacities,
 )
@@ -129,6 +130,7 @@ def ratio_bound_lp(k: float, gains: ChannelGains) -> LinearProgram:
 
     It is ``cut_set_system`` with k times the Ra column added into the Rb column.
     """
+    k = as_real(k)
     if not (math.isfinite(k) and k >= 0.0):
         raise ValidationError(f"ray ratio k must be finite and >= 0, got {k!r}")
     A, relations, rhs, _ = cut_set_system(gains)
@@ -139,6 +141,7 @@ def ratio_bound_lp(k: float, gains: ChannelGains) -> LinearProgram:
 
 def weighted_bound_lp(wa: float, wb: float, gains: ChannelGains) -> LinearProgram:
     """The weighted-sum program: maximize wa*Ra + wb*Rb over (Ra, Rb, lam1..lam6)."""
+    wa, wb = as_real(wa), as_real(wb)
     for name, w in (("wa", wa), ("wb", wb)):
         if not (math.isfinite(w) and w >= 0.0):
             raise ValidationError(f"{name} must be finite and >= 0, got {w!r}")
@@ -194,6 +197,7 @@ def analytic_rb_bound(k: float, gains: ChannelGains) -> float:
     construction is applied to the mirrored problem (terminals relabeled,
     ratio 1/k) and mapped back through Rb = Ra / k.
     """
+    k = as_real(k)
     if not (math.isfinite(k) and k > 0.0):
         raise ValidationError(f"ray ratio k must be finite and > 0, got {k!r}")
     caps = link_capacities(gains)
@@ -206,6 +210,7 @@ def analytic_rb_bound(k: float, gains: ChannelGains) -> float:
 def rb_dual_point(k: float, gains: ChannelGains) -> DualPoint:
     """The fixed dual-feasible point behind ``analytic_rb_bound`` for k >= 1:
     the multipliers ``_rb_multipliers`` and y5 = the largest state row."""
+    k = as_real(k)
     if not (math.isfinite(k) and k >= 1.0):
         raise ValidationError(f"the dual point is defined for k >= 1, got {k!r}")
     caps = link_capacities(gains)
@@ -219,6 +224,7 @@ def dual_point_feasible(k: float, gains: ChannelGains) -> tuple[bool, float]:
     Returns (feasible, min_slack): the six state rows must not exceed y5 and
     the normalization row k*(y1+y2) + y3 + y4 >= 1 must hold.
     """
+    k = as_real(k)
     p = rb_dual_point(k, gains)
     rows = _state_rows(link_capacities(gains), (p.y1, p.y2, p.y3, p.y4))
     slacks = [p.y5 - r for r in rows]
@@ -263,6 +269,7 @@ def analytic_weighted_bound(k: float, gains: ChannelGains) -> float:
     fixed cut multipliers built from the two one-way balances, which meet the
     rate rows y1 + y2 = k and y3 + y4 = 1: the largest of the six state rows.
     """
+    k = as_real(k)
     if not (math.isfinite(k) and k >= 0.0):
         raise ValidationError(f"weight k must be finite and >= 0, got {k!r}")
     caps = link_capacities(gains)

@@ -401,6 +401,38 @@ class TestSixStateDfBounds:
             assert (df_outcome(six_state_df_boundary, k, gains, alpha_grid=9)
                     == df_outcome(df_point_by_point, k, gains, alpha_grid=9))
 
+    def test_refinement_that_cannot_beat_the_coarse_pick_rates_nothing(self, monkeypatch,
+                                                                       case_a):
+        # on case-a at grid 9, the bounds the coarse stage leaves prove on three
+        # of ray_grid(3)'s five rays that no refinement split beats its pick,
+        # so the refinement neither reads a basis nor solves a split there
+        stages = []  # per grid stage, its certificate reads and cold solves
+
+        def counted(name, fn):
+            def call(*args):
+                stages[-1][name] += 1
+                return fn(*args)
+            monkeypatch.setattr(achievable, name, call)
+
+        def stage(*args):
+            stages.append(collections.Counter())
+            return best(*args)
+
+        best = achievable._df_best
+        counted("certify_stack", achievable.certify_stack)
+        counted("_solve_split", achievable._solve_split)
+        monkeypatch.setattr(achievable, "_df_best", stage)
+        idle = []
+        for _, k in ray_grid(3):
+            stages.clear()
+            six_state_df_boundary(k, case_a, alpha_grid=9)
+            coarse, fine = stages
+            assert coarse["_solve_split"] > 0
+            if not fine:
+                idle.append(k)
+        assert idle == [1.0, ray_grid(3)[3][1], math.inf]
+        assert round(idle[1], 1) == 114.6
+
     @pytest.mark.parametrize("grid", [3.0, 2.5, math.nan, "9", None])
     def test_alpha_grid_must_be_an_integer(self, case_a, grid):
         with pytest.raises(ValidationError, match="alpha_grid must be an integer"):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,15 +7,26 @@ from hypothesis import given, strategies as st
 
 from twrc import (
     ChannelGains,
+    PowerSplit,
+    Scenario,
     TimeShares,
     ValidationError,
+    analytic_rb_bound,
+    analytic_weighted_bound,
     cap,
     db_to_linear,
+    dual_point_feasible,
     linear_to_db,
     link_capacities,
+    mabc_boundary,
+    outer_ratio_bound,
+    outer_weighted_bound,
+    ratio_bound_lp,
+    rb_dual_point,
+    six_state_df_boundary,
     validate_gains,
 )
-from twrc.core import ray_rates, tie_ray
+from twrc.core import is_ra_axis, ray_rates, tie_ray
 
 snr = st.floats(min_value=0.0, max_value=1e12, allow_nan=False)
 
@@ -207,3 +219,61 @@ def test_ray_rates_lie_on_the_ray():
     assert ray_rates(2.0, 8.0) == (2.0, 0.25)
     assert ray_rates(2.0, math.inf) == (2.0, 0.0)
     assert all(type(v) is float for v in ray_rates(np.float64(3.0), 0.5))
+
+
+def exact_bits(value):
+    """``value`` with every number as its type and exact bits, dataclasses
+    and containers taken apart, for a bit-for-bit comparison."""
+    if dataclasses.is_dataclass(value):
+        return type(value), exact_bits(dataclasses.astuple(value))
+    if isinstance(value, dict):
+        return tuple((key, exact_bits(v)) for key, v in value.items())
+    if isinstance(value, (tuple, list)):
+        return tuple(map(exact_bits, value))
+    return type(value), value.hex() if isinstance(value, float) else value
+
+
+def outcome_bits(fn, value):
+    """``fn(value)`` as ``exact_bits``, or the ValidationError's text."""
+    try:
+        return exact_bits(fn(value))
+    except ValidationError as exc:
+        return "ValidationError", str(exc)
+
+
+_GAINS = validate_gains(10.0, 31.6, 2.0)
+_SCALAR_ENTRY_POINTS = {
+    "validate_gains g1": lambda v: validate_gains(v, 4.0, 0.1),
+    "validate_gains g3": lambda v: validate_gains(5.0, 6.0, v),
+    "validate_gains swapped": lambda v: validate_gains(9.0, v, 0.1, auto_swap=True),
+    "cap": cap,
+    "db_to_linear": db_to_linear,
+    "linear_to_db": linear_to_db,
+    "PowerSplit": lambda v: PowerSplit(v, 1.0),
+    "Scenario": lambda v: Scenario("x", v, 15.0, 3.0),
+    "Scenario gains": lambda v: Scenario("x", 10.0, 15.0, v).gains(),
+    "is_ra_axis": is_ra_axis,
+    "mabc_boundary": lambda k: mabc_boundary(k, _GAINS),
+    "analytic_rb_bound": lambda k: analytic_rb_bound(k, _GAINS),
+    "outer_ratio_bound": lambda k: outer_ratio_bound(k, _GAINS),
+    "ratio_bound_lp": lambda k: ratio_bound_lp(k, _GAINS).matrix.tolist(),
+    "outer_weighted_bound": lambda w: outer_weighted_bound(w, 1.0, _GAINS),
+    "analytic_weighted_bound": lambda k: analytic_weighted_bound(k, _GAINS),
+    "rb_dual_point": lambda k: rb_dual_point(k, _GAINS),
+    "dual_point_feasible": lambda k: dual_point_feasible(k, _GAINS),
+    "six_state_df_boundary": lambda k: six_state_df_boundary(k, _GAINS, alpha_grid=3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SCALAR_ENTRY_POINTS))
+@pytest.mark.parametrize("value", [np.float32(0.75), np.float16(0.3), np.int64(1),
+                                   np.float32(2.5), np.int64(3), np.float32("inf")],
+                         ids=repr)
+def test_numpy_scalars_act_as_their_python_float(name, value):
+    # a numpy real scalar gives, bit for bit, what float(value) gives: the
+    # same result, of the same types, or the same ValidationError
+    fn = _SCALAR_ENTRY_POINTS[name]
+    want = outcome_bits(fn, float(value))
+    assert outcome_bits(fn, value) == want
+    if value == 1:
+        assert want[0] != "ValidationError"  # every entry point takes 1
