@@ -225,6 +225,7 @@ class TimeShares:
         total, clamped = 0.0, []
         for i, v in enumerate(self.as_tuple(), start=1):
             if type(v) is not float or not -_SHARE_TOL <= v <= _SHARE_MAX:
+                v = as_real(v)
                 if not _finite(v) or not -_SHARE_TOL <= v <= _SHARE_MAX:
                     raise ValidationError(f"lambda{i} must lie in [0, 1], got {v!r}")
                 v = float(v)

@@ -18,17 +18,18 @@ from the final tableau; ``_pivot`` is the one pivot step of the simplex and
 the purge.
 
 A known basis can stand in for the simplex.  ``certify_stack`` reads one
-basis on a stack of programs that differ only in their matrices: it
-inverts each basis matrix once (LAPACK on the whole stack) and returns each
-program's vertex, duals, reduced costs and whether the vertex meets every
-row relative to the row's size.  A program with a singular basis matrix is
-refused on its own, without failing the rest of the stack.  Each program's
-numbers are bit for bit the ones it gets alone.  Two rules read the
-certificate: the cold simplex's own stopping rule (no reduced cost above
-``_COST_TOL``: the basis is optimal), which the six-state DF search uses to
-rate the power splits that its weak-duality bounds (from the duals of the
-splits rated so far) leave in contention, and the stricter unique-optimum
-rule (every reduced cost below ``-_COST_TOL``).  ``solve_lp(lp, basis)``
+basis on a stack of programs that differ only in their matrices, or on one
+program alone: it inverts each basis matrix B once (LAPACK on the whole
+stack) and returns each program's vertex, duals, reduced costs and whether
+the vertex meets every row relative to the row's size (a residual taken on
+B and x_B alone, as the vertex is zero off the basis).  A program with a
+singular basis matrix is refused on its own, without failing the rest of
+the stack.  Each program's numbers are bit for bit the ones it gets alone.
+Two rules read the certificate: the cold simplex's own stopping rule (no
+reduced cost above ``_COST_TOL``: the basis is optimal), which the six-state
+DF search uses to rate the power splits that its weak-duality bounds (from
+the duals of the splits rated so far) leave in contention, and the stricter
+unique-optimum rule (every reduced cost below ``-_COST_TOL``).  ``solve_lp(lp, basis)``
 takes an earlier solution's basis (in a sweep, the previous ray's, which stays
 optimal everywhere but at the region's few vertices); ``_reused``, the
 certificate on that one program, accepts it only as a unique optimum.  An
@@ -44,7 +45,10 @@ derives one per ray (and six-state DF one per power split it solves).
 The part of the phase-1 start that the matrix does not touch (the slack,
 artificial and rhs entries, the phase-1 cost and the feasibility limit) is
 built once per (bounds, relations, rhs) and cached (``_start``): a solve
-copies it, fills in the matrix columns and builds its phase-2 cost.
+copies it, fills in the matrix columns and builds its phase-2 cost.  What a
+basis read takes beyond that (the basis as an index array, the phase-2 cost,
+c_B, b, |b| and the duals' sign) is built once per program fields and basis
+and cached as well (``_held``): along a sweep, one entry per distinct basis.
 """
 
 from __future__ import annotations
@@ -64,8 +68,9 @@ _RATIO_ELIG_TOL = 1e-9  # pivots smaller than this amplify round-off too much
 _HARRIS_TOL = 1e-12  # how far below zero a ratio-test step may push a basic variable
 _COST_TOL = 1e-10
 # a reused basis's vertex must meet each standardized row to this share of the
-# row's size, |A u - b| <= _REUSE_TOL * (|A| u + |b|): an absolute limit lets
-# an infeasible basis through on programs whose entries are all tiny
+# row's size, |B x_B - b| <= _REUSE_TOL * (|B| x_B + |b|) (the vertex is zero
+# off the basis B): an absolute limit lets an infeasible basis through on
+# programs whose entries are all tiny
 _REUSE_TOL = 1e-11
 _EPS = np.finfo(float).eps
 _MAX_PIVOTS = 20_000
@@ -211,7 +216,7 @@ def _solve(lp: LinearProgram) -> LpSolution:
     """The two-phase simplex on ``lp``, from the slack and artificial basis."""
     (var, sign, scale, s_j, s_k, s_sign, f_j, f_k, row_sign, ident_col, artificial,
      block, cost1, limit, _) = _start(lp.bounds, lp.relations, lp.rhs.tobytes())
-    cost2 = _phase2_cost(lp, var, sign, artificial.size)
+    cost2 = _phase2_cost(lp.objective, lp.sense, var, sign, artificial.size)
     # the start tableau: the cached block, then the matrix columns of the rewrite
     table = block.copy()
     np.multiply(lp.matrix.take(var, axis=1), scale, out=table[:, :var.size])
@@ -245,20 +250,24 @@ def _solve(lp: LinearProgram) -> LpSolution:
     return LpSolution("optimal", float(lp.objective @ x), x, tuple(sorted(basis.tolist())), duals)
 
 
-def _phase2_cost(lp: LinearProgram, var: np.ndarray, sign: np.ndarray, ncols: int) -> np.ndarray:
-    """``lp``'s objective over the ``ncols`` columns of its rewrite, as a maximization."""
+def _phase2_cost(objective: np.ndarray, sense: str, var: np.ndarray, sign: np.ndarray,
+                 ncols: int) -> np.ndarray:
+    """A program's objective over the first ``ncols`` columns of its rewrite,
+    as a maximization."""
     cost = np.zeros(ncols)
-    cost[:var.size] = sign * ((1.0 if lp.sense == "max" else -1.0) * lp.objective[var])
+    cost[:var.size] = sign * ((1.0 if sense == "max" else -1.0) * objective[var])
     return cost
 
 
 def _points(lp: LinearProgram, U: np.ndarray, s_j, s_k, s_sign, f_j, f_k) -> np.ndarray:
     """The original variables of each point of the rewrite (``_start``) along
     the last axis of ``U``."""
+    single = 0.0 + s_sign * U.take(s_k, axis=-1)  # 0.0 + turns a -0.0 into 0.0
+    if not f_j.size:  # no free variable: s_j is every variable, in order
+        return single
     X = np.zeros(U.shape[:-1] + (lp.n_vars,))
-    X[..., s_j] = 0.0 + s_sign * U.take(s_k, axis=-1)  # 0.0 + turns a -0.0 into 0.0
-    if f_j.size:
-        X[..., f_j] = U[..., f_k] - U[..., f_k + 1]
+    X[..., s_j] = single
+    X[..., f_j] = U[..., f_k] - U[..., f_k + 1]
     return X
 
 
@@ -306,26 +315,32 @@ def certify_stack(lp: LinearProgram, mats: np.ndarray,
     the (..., m, n) stack ``mats``; None if it is no basis of these programs.
 
     The standardized programs are the cold solve's start (``_start``) with
-    the matrix columns filled in.  The basis must be full size and hold no
-    artificial column.  Each B is inverted once, giving the vertex
-    x_B = B^-1 b and the multipliers y = c_B B^-1.  x_B is clipped at 0, and
-    so is an entry below ``_EPS`` (2^-52) times its largest: the round-off of
-    a basic variable at a degenerate 0, which would fail a row of its own,
-    such as TDBC's lam3 = 0.  A vertex is feasible if it meets every row to
-    within ``_REUSE_TOL`` of that row's size.  A program whose B is singular
-    is refused on its own: infeasible, read with B^-1 = 0.  Each program's
-    numbers are the ones it gets alone, bit for bit.
+    the matrix columns filled in, and what the read needs that no matrix
+    changes is cached per program fields and basis (``_held``).  The basis
+    must be full size and hold no artificial column.  Each B is inverted
+    once, giving the vertex x_B = B^-1 b and the multipliers y = c_B B^-1.
+    x_B is clipped at 0, and so is an entry below ``_EPS`` (2^-52) times its
+    largest: the round-off of a basic variable at a degenerate 0, which
+    would fail a row of its own, such as TDBC's lam3 = 0.  A vertex is
+    feasible if it meets every row to within ``_REUSE_TOL`` of that row's
+    size, |B x_B - b| <= ``_REUSE_TOL`` (|B| x_B + |b|): the row test on the
+    whole standardized matrix, as the vertex is zero off the basis.  A
+    program whose B is singular is refused on its own: infeasible, read with
+    B^-1 = 0.  Each program's numbers are the ones it gets alone, bit for
+    bit; a lone (m, n) matrix is read without the stack's broadcasting.
     """
-    (var, sign, scale, s_j, s_k, s_sign, f_j, f_k, row_sign, _, artificial,
-     block, _, _, first_art) = _start(lp.bounds, lp.relations, lp.rhs.tobytes())
-    if len(basis) != len(block) or max(basis) >= first_art:  # the artificials come last
+    held = _held(lp.bounds, lp.relations, lp.rhs.tobytes(), lp.objective.tobytes(), lp.sense,
+                 basis)
+    if held is None:
         return None
-    idx = np.array(basis)
-    A = np.empty(mats.shape[:-1] + (artificial.size,))
-    A[...] = block[:, :-1]
+    var, scale, s_j, s_k, s_sign, f_j, f_k, start, idx, cost, c_b, b, abs_b, dual_sign = held
+    if mats.ndim == 2:  # a lone program, with no broadcast fill
+        A = start.copy()
+    else:
+        A = np.empty(mats.shape[:-1] + start.shape[-1:])
+        A[...] = start
     np.multiply(mats.take(var, axis=-1), scale, out=A[..., :var.size])
-    b = block[:, -1:]  # as a column
-    B = A[..., idx]
+    B = A.take(idx, axis=-1)
     # One singular member fails the whole stack's inversion.  A stack first
     # inverts its members with an all-zero row (DF's zeroed capacities) as
     # the identity, which saves the six-state DF search 7-26% a preset ray
@@ -347,18 +362,16 @@ def certify_stack(lp: LinearProgram, mats: np.ndarray,
     if usable is not True:
         inv = np.where(usable[..., None, None], inv, 0.0)
     xb = inv @ b
-    u = np.zeros(A.shape[:-2] + (artificial.size, 1))
-    u[..., idx, :] = np.where(xb > _EPS * np.abs(xb).max(axis=-2, keepdims=True), xb, 0.0)
-    feasible = usable & (np.abs(A @ u - b)
-                         <= _REUSE_TOL * (np.abs(A) @ u + np.abs(b))).all(axis=(-2, -1))
-    cost = _phase2_cost(lp, var, sign, artificial.size)
-    y = cost[idx] @ inv
-    reduced = cost[:first_art] - (y[..., None, :] @ A[..., :first_art])[..., 0, :]
+    xb = np.where(xb > _EPS * np.maximum.reduce(np.abs(xb), axis=-2, keepdims=True), xb, 0.0)
+    feasible = usable & (np.abs(B @ xb - b)
+                         <= _REUSE_TOL * (np.abs(B) @ xb + abs_b)).all(axis=(-2, -1))
+    y = c_b @ inv  # a row
+    reduced = cost - (y @ A[..., :cost.size])[..., 0, :]
     reduced[..., idx] = -_INF
-    duals = row_sign * y  # each row's identity column is e_i, so y_i is its dual
-    if lp.sense == "min":
-        duals = -duals
-    x = _points(lp, u[..., 0], s_j, s_k, s_sign, f_j, f_k)
+    duals = dual_sign * y[..., 0, :]  # each row's identity column is e_i, so y_i is its dual
+    u = np.zeros(xb.shape[:-2] + start.shape[-1:])
+    u[..., idx] = xb[..., 0]
+    x = _points(lp, u, s_j, s_k, s_sign, f_j, f_k)
     return Certificate(x, duals, reduced, feasible)
 
 
@@ -419,6 +432,35 @@ def _start(bounds: tuple, relations: tuple, rhs: bytes) -> tuple:
     for a in start:
         a.flags.writeable = False
     return start + (FEASIBILITY_TOL * max(1.0, float(np.abs(b).max(initial=0.0))), first_art)
+
+
+@functools.lru_cache(maxsize=256)
+def _held(bounds: tuple, relations: tuple, rhs: bytes, objective: bytes, sense: str,
+          basis: tuple[int, ...]) -> tuple | None:
+    """What a read of ``basis`` (``certify_stack``) on the programs with these
+    fields (``rhs`` and ``objective`` as float64 bytes) needs that their
+    matrix does not change, built once and cached as read-only arrays; None
+    if ``basis`` is no basis of them: not full size, or holding an
+    artificial column (the artificials come last).
+
+    Returns (var, scale, s_j, s_k, s_sign, f_j, f_k, start, idx, cost, c_B,
+    b, |b|, duals' sign): ``_start``'s column maps, its block without the
+    rhs, the basis as an array, the phase-2 cost of the columns before the
+    artificials and its basic entries (a row), the standardized rhs (a
+    column) and its size, and each row's flip, negated for a "min" program.
+    """
+    (var, sign, scale, s_j, s_k, s_sign, f_j, f_k, row_sign, _, _,
+     block, _, _, first_art) = _start(bounds, relations, rhs)
+    if len(basis) != len(block) or max(basis) >= first_art:
+        return None
+    idx = np.array(basis)
+    cost = _phase2_cost(np.frombuffer(objective), sense, var, sign, first_art)
+    b = block[:, -1:]
+    consts = (idx, cost, cost[idx][None, :], b, np.abs(b),
+              -row_sign if sense == "min" else row_sign)
+    for a in consts:
+        a.flags.writeable = False
+    return (var, scale, s_j, s_k, s_sign, f_j, f_k, block[:, :-1]) + consts
 
 
 def _simplex(table: np.ndarray, basis: np.ndarray, cost: np.ndarray, allowed: np.ndarray) -> str:

@@ -148,7 +148,7 @@ def exact_basis(lp, basis):
     (var, sign, scale), (artificial, block) = start[:3], start[10:12]
     A = block[:, :-1].copy()
     A[:, :var.size] = lp.matrix[:, var] * scale  # scale is +-1: exact
-    cost = lp_module._phase2_cost(lp, var, sign, artificial.size)
+    cost = lp_module._phase2_cost(lp.objective, lp.sense, var, sign, artificial.size)
     A, b, c = ([[Fraction(v) for v in r] for r in A], [Fraction(v) for v in block[:, -1]],
                [Fraction(v) for v in cost])
     idx = list(basis)

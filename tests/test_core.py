@@ -133,6 +133,7 @@ def test_time_shares_validation():
     ts = TimeShares(0.2, 0.0, 0.3, 0.5, 0.0, 0.0)
     assert ts.active_states() == {1, 3, 4}
     assert ts.as_tuple()[0] == 0.2
+    assert TimeShares(np.float32(0.5), 0.5, 0, 0, 0, 0).as_tuple() == (0.5, 0.5, 0, 0, 0, 0)
     with pytest.raises(ValidationError):
         TimeShares(0.5, 0.5, 0.5, 0.0, 0.0, 0.0)
     with pytest.raises(ValidationError):
@@ -148,10 +149,13 @@ def test_time_shares_clamps_lp_roundoff():
 
 
 def old_share_check(values):
-    """The per-field check ``TimeShares`` made before its one-pass form:
-    (stored values, None) or (None, the error text)."""
+    """The per-field check ``TimeShares`` made before its one-pass form, with
+    a numpy real scalar read as the float it stands for: (stored values,
+    None) or (None, the error text)."""
     total, out = 0.0, []
     for i, v in enumerate(values, start=1):
+        if isinstance(v, (np.integer, np.floating)):
+            v = float(v)
         if not (isinstance(v, (int, float)) and math.isfinite(v)) or v < -1e-9 or v > 1.0 + 1e-9:
             return None, f"lambda{i} must lie in [0, 1], got {v!r}"
         v = max(float(v), 0.0)

@@ -17,6 +17,8 @@ from twrc import (
 from twrc import achievable, outer
 from twrc import lp as lp_module
 
+from conftest import random_gains
+
 
 def random_feasible_bounded_lp(rng, max_vars=10):
     """Random LP guaranteed feasible (a known point) and bounded (a sum cap)."""
@@ -377,6 +379,71 @@ def test_one_cached_start_serves_every_objective(case_a):
     outer.outer_weighted_bound(1.0, 0.3, case_a)
     info = lp_module._start.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+
+
+def held_read(lp, basis):
+    """The certificate of ``basis`` on ``lp`` and ``_reused``'s verdict, as bytes."""
+    cert = lp_module.certify_stack(lp, lp.matrix, basis)
+    return (cert.x.tobytes(), cert.duals.tobytes(), cert.reduced.tobytes(), bool(cert.feasible),
+            reused_decision(lp, basis))
+
+
+def test_held_basis_constants_are_keyed_on_objective_and_sense():
+    # one basis on programs that differ only in objective, then only in
+    # sense: each gets the read it gets with nothing cached, though the
+    # first program's constants are cached when the second is read
+    lp = LinearProgram([1.0, 1.0], [[1.0, 2.0], [3.0, 1.0]], ("<=", "<="), [4.0, 6.0])
+    basis = solve_lp(lp).basis  # the vertex (1.6, 1.2)
+    for other in (dataclasses.replace(lp, objective=[1.0, 0.0]),
+                  dataclasses.replace(lp, sense="min")):
+        alone = []
+        for program in (lp, other):
+            lp_module._held.cache_clear()
+            alone.append(held_read(program, basis))
+        lp_module._held.cache_clear()
+        assert [held_read(program, basis) for program in (lp, other)] == alone
+        assert lp_module._held.cache_info().currsize == 2
+        # the basis is the unique optimum of the first program only
+        assert alone[0][-1] is not None and alone[1][-1] is None
+
+
+def test_held_basis_constants_are_cached_per_basis_not_per_channel(monkeypatch):
+    # every channel of one protocol family shares the program fields, so a
+    # sweep over many channels caches one entry per distinct basis it reads
+    held = []
+    reused = lp_module._reused
+
+    def record(lp, basis):
+        held.append(basis)
+        return reused(lp, basis)
+
+    monkeypatch.setattr(lp_module, "_reused", record)
+    lp_module._held.cache_clear()
+    channels = random_gains(np.random.default_rng(8), 40)
+    rays = [k for _, k in ray_grid(15)]
+    for gains in channels:
+        point = achievable.ray_evaluator(achievable.hbc_system(gains))
+        for k in rays:
+            point(k)
+    assert len(held) == len(channels) * (len(rays) - 1)
+    assert lp_module._held.cache_info().currsize == len(set(held)) < len(channels)
+
+
+def test_lone_reads_refuse_artificial_and_overflowing_bases():
+    # a basis holding an artificial column, and one whose B^-1 overflows to
+    # inf: no held read, and the program is solved cold, bit for bit
+    eq = LinearProgram([1.0, 0.0], [[1.0, 1.0], [1.0, 0.0]], ("=", "<="), [1.0, 2.0])
+    tiny = LinearProgram([0.0, 1.0], [[1e-310, 0.0], [0.0, 1.0]], ("<=", "<="), [1.0, 1.0])
+    first_art = lp_module._start(eq.bounds, eq.relations, eq.rhs.tobytes())[-1]
+    assert first_art == 3  # x1, x2, the slack of row 2, then row 1's artificial
+    assert not np.isfinite(np.linalg.inv(tiny.matrix)).all()
+    for lp, basis in ((eq, (0, first_art)), (tiny, (0, 1))):
+        cold = solve_lp(lp)
+        assert cold.is_optimal and cold.basis != basis
+        assert lp_module._reused(lp, basis) is None
+        assert_same_solution(solve_lp(lp, basis), cold)
+    assert lp_module.certify_stack(eq, eq.matrix, (0, first_art)) is None
+    assert not lp_module.certify_stack(tiny, tiny.matrix, (0, 1)).feasible
 
 
 def test_derived_program_rejects_a_bad_matrix():
