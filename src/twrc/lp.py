@@ -330,7 +330,7 @@ def certify_stack(lp: LinearProgram, mats: np.ndarray,
     bit; a lone (m, n) matrix is read without the stack's broadcasting.
     """
     held = _held(lp.bounds, lp.relations, lp.rhs.tobytes(), lp.objective.tobytes(), lp.sense,
-                 basis)
+                 tuple(basis))  # a list basis, as read back from JSON, too
     if held is None:
         return None
     var, scale, s_j, s_k, s_sign, f_j, f_k, start, idx, cost, c_b, b, abs_b, dual_sign = held

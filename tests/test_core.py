@@ -46,12 +46,7 @@ def test_cap_rejects_bad_input(bad):
 @given(snr, snr)
 def test_cap_monotone(x, y):
     lo, hi = sorted((x, y))
-    assert cap(lo) <= cap(hi)
-    a, b = 1.0 + lo, 1.0 + hi
-    # log2(b/a) >= (b - a)/b; past two ulps of the result a log2 within one
-    # ulp of exact must order the two strictly (1 + lo < 1 + hi alone is not
-    # enough: near 1e12 neighbouring floats share a rounded log2)
-    if (b - a) / b > 4.0 * math.ulp(math.log2(b)):
+    if 1.0 + lo < 1.0 + hi:  # strictly increasing wherever floats can tell them apart
         assert cap(lo) < cap(hi)
 
 

@@ -371,6 +371,22 @@ def test_a_reused_basis_reads_the_cold_optimum():
     assert reused >= 80  # 105 of 159 optimal programs here
 
 
+def test_a_list_basis_reads_as_its_tuple():
+    # a basis read back from JSON is a list: it gives the tuple's solution,
+    # bit for bit, whether the basis is reused or refused
+    rng = np.random.default_rng(21)
+    reused = 0
+    for _ in range(60):
+        lp = random_feasible_bounded_lp(rng)
+        cold = solve_or_error(lp)
+        if isinstance(cold, SolverError) or not cold.is_optimal:
+            continue
+        for basis in (cold.basis, cold.basis[:-1]):
+            assert_same_solution(solve_lp(lp, list(basis)), solve_lp(lp, basis))
+        reused += lp_module._reused(lp, list(cold.basis)) is not None
+    assert reused > 0
+
+
 def test_one_cached_start_serves_every_objective(case_a):
     # the phase-1 start is keyed on bounds, relations and rhs only, so a new
     # objective on the same channel (a weighted-sum bound) reuses it
