@@ -27,7 +27,7 @@ from .core import (
     ray_rates,
     tie_ray,
 )
-from .lp import LinearProgram, LpSolution, SolverError, certify_stack, solve_lp
+from .lp import LinearProgram, LpSolution, SolverError, certify, solve_lp
 
 # per-protocol information flows: (source, destination, state) -> rate
 FlowVars = dict[tuple[str, str, int], float]
@@ -258,9 +258,6 @@ _DF_CAP_ROWS = np.array([(rows * 2)[-2:] for rows in (
     for f in _DF_FLOWS)])
 # per rate row (Ra's, Rb's), which flows make up that rate
 _DF_SOURCE = np.array([[terms.get(f) == -1 for f in _DF_FLOWS] for terms, _ in _DF_ROWS[:2]])
-# the certificate reads of a grid stage hold at most this many split matrices
-# at once (a stage at alpha_grid 257 has 66,049 splits)
-_DF_CHUNK = 256
 # split rates within this relative distance of a grid stage's best are tied
 _DF_TIE_RTOL = 1e-12
 # a split's rate read from a basis is taken to lie within this relative
@@ -389,15 +386,15 @@ def _df_best(template: LinearProgram, gains: ChannelGains, axis1, axis2,
     open: not surely below the best rate by more than ``_DF_TIE_RTOL``, and
     not surely within that of the current pick's rate (the pick is the first
     such split in grid order; a later split within it cannot displace it).
-    A split is rated from a held basis (``bases``) wherever ``certify_stack``
-    finds it optimal (its cold simplex would stop there) and otherwise by a
-    cold solve (``solve_lp``), whose basis joins ``bases``.  Splits are
-    rated in batches, the pick first and then the highest bounds: a batch
-    starts at one split, doubles while the new bounds prune fewer open
-    splits than were just rated and drops back to one when they prune more,
-    so a flat grid, where the bounds prune little, is rated in large
-    batches.  A certificate reads at most ``_DF_CHUNK`` splits at once, and
-    a cold solve builds its split's matrix only when it solves it.
+    A split is rated from the first held basis (``bases``, in order) that
+    ``certify`` finds optimal on its program (its cold simplex would stop
+    there), and otherwise by a cold solve (``solve_lp``), whose basis joins
+    ``bases``.  Splits are rated in batches, the pick first and then the
+    highest bounds: a batch starts at one split, doubles while the new
+    bounds prune fewer open splits than were just rated and drops back to
+    one when they prune more, so a flat grid, where the bounds prune little,
+    is rated in large batches.  A batch's reads come first, then the cold
+    solves of the splits no held basis rates, in the batch's order.
 
     The split kept is the one a point-by-point search keeps: the first, in
     grid order, whose cold rate is within ``_DF_TIE_RTOL`` of the best cold
@@ -435,11 +432,6 @@ def _df_best(template: LinearProgram, gains: ChannelGains, axis1, axis2,
     if (bound * (1.0 + _DF_READ_RTOL) - incumbent <= _DF_TIE_RTOL * incumbent).all():
         return None, trusted  # no split can beat the incumbent
 
-    def stacks(at):  # the splits at ``at``, _DF_CHUNK at a time, and their matrices
-        for start in range(0, len(at), _DF_CHUNK):
-            part = at[start:start + _DF_CHUNK]
-            yield part, _with_splits(template, [splits[i] for i in part])
-
     def solve(at) -> None:  # cold-solves the splits at ``at``, in that order
         for i in at:
             sol = _solve_split(template, splits[i])
@@ -452,18 +444,19 @@ def _df_best(template: LinearProgram, gains: ChannelGains, axis1, axis2,
         rated[at] = cold[at] = True
 
     def rate(at) -> None:  # rates the splits at ``at`` from a held basis, else cold
-        for basis in bases:
-            for part, mats in stacks(at):
-                cert = certify_stack(template, mats, basis)
-                if cert is not None:
-                    ok = cert.optimal()
-                    rates[part[ok]] = cert.x[ok, 0]
-                    rated[part[ok]] = True
-                    duals.extend(cert.duals[ok])
-            at = at[~rated[at]]
-            if not at.size:
-                return
-        solve(at)
+        left = []
+        for i in at:
+            lp = template.with_matrix(_with_splits(template, [splits[i]])[0])
+            for basis in bases:
+                cert = certify(lp, basis)
+                if cert is not None and cert.optimal():
+                    rates[i] = cert.x[0]
+                    rated[i] = True
+                    duals.append(cert.duals)
+                    break
+            else:
+                left.append(i)
+        solve(left)
 
     def state():  # the pick (None if none is live), and the live splits that may displace it
         nonlocal trusted

@@ -17,31 +17,23 @@ tableau, purges the artificial variables left at zero from the basis
 from the final tableau; ``_pivot`` is the one pivot step of the simplex and
 the purge.
 
-A known basis can stand in for the simplex.  ``certify_stack`` reads one
-basis on a stack of programs that differ only in their matrices, or on one
-program alone: it inverts each basis matrix B once (LAPACK on the whole
-stack) and returns each program's vertex, duals, reduced costs and whether
-the vertex meets every row relative to the row's size (a residual taken on
-B and x_B alone, as the vertex is zero off the basis).  A program with a
-singular basis matrix is refused on its own, without failing the rest of
-the stack.  Each program's numbers are bit for bit the ones it gets alone.
-Two rules read the certificate: the cold simplex's own stopping rule (no
-reduced cost above ``_COST_TOL``: the basis is optimal), which the six-state
-DF search uses to rate the power splits that its weak-duality bounds (from
-the duals of the splits rated so far) leave in contention, and the stricter
-unique-optimum rule (every reduced cost below ``-_COST_TOL``).  ``solve_lp(lp, basis)``
-takes an earlier solution's basis (in a sweep, the previous ray's, which stays
-optimal everywhere but at the region's few vertices); ``_reused``, the
-certificate on that one program, accepts it only as a unique optimum.  An
-accepted basis gives the point, value and duals without pivoting; they
-match the cold solve to round-off, within 1e-12 relative on every preset
-ray, but not bit for bit.  Otherwise the program is solved cold, exactly
-as without a basis.
+A known basis can stand in for the simplex.  ``certify`` reads one basis on
+one program: it inverts the basis matrix B once and returns the vertex, the
+duals, the reduced costs and whether the vertex is feasible, or None for a
+basis it cannot use.  The six-state DF search rates a power split from a
+held basis where the cold simplex would stop there (``Certificate.optimal``).
+``solve_lp(lp, basis)`` takes an earlier solution's basis (in a sweep, the
+previous ray's, which stays optimal everywhere but at the region's few
+vertices) only where ``_reused`` finds it the unique optimum.  An accepted
+basis gives the point, value and duals without pivoting; they match the
+cold solve to round-off, within 1e-12 relative on every preset ray, but not
+bit for bit.  Otherwise the program is solved cold, exactly as without a
+basis.
 
 Programs that differ only in their matrix share the rest of their set-up.
 ``LinearProgram.with_matrix`` derives such a program from a validated one,
 checking only the new matrix, so a sweep builds one program per channel and
-derives one per ray (and six-state DF one per power split it solves).
+derives one per ray (and six-state DF one per power split it rates).
 The part of the phase-1 start that the matrix does not touch (the slack,
 artificial and rhs entries, the phase-1 cost and the feasibility limit) is
 built once per (bounds, relations, rhs) and cached (``_start``): a solve
@@ -259,27 +251,26 @@ def _phase2_cost(objective: np.ndarray, sense: str, var: np.ndarray, sign: np.nd
     return cost
 
 
-def _points(lp: LinearProgram, U: np.ndarray, s_j, s_k, s_sign, f_j, f_k) -> np.ndarray:
-    """The original variables of each point of the rewrite (``_start``) along
-    the last axis of ``U``."""
-    single = 0.0 + s_sign * U.take(s_k, axis=-1)  # 0.0 + turns a -0.0 into 0.0
+def _points(lp: LinearProgram, u: np.ndarray, s_j, s_k, s_sign, f_j, f_k) -> np.ndarray:
+    """The original variables of the rewrite's point ``u`` (``_start``)."""
+    single = 0.0 + s_sign * u[s_k]  # 0.0 + turns a -0.0 into 0.0
     if not f_j.size:  # no free variable: s_j is every variable, in order
         return single
-    X = np.zeros(U.shape[:-1] + (lp.n_vars,))
-    X[..., s_j] = single
-    X[..., f_j] = U[..., f_k] - U[..., f_k + 1]
-    return X
+    x = np.zeros(lp.n_vars)
+    x[s_j] = single
+    x[f_j] = u[f_k] - u[f_k + 1]
+    return x
 
 
 def _reused(lp: LinearProgram, basis: tuple[int, ...]) -> LpSolution | None:
     """``lp``'s solution on ``basis``, read without pivoting, if that basis is
     certified as its unique optimum; otherwise None.
 
-    ``certify_stack`` on ``lp``'s own matrix: the vertex must be feasible and
-    every non-basic, non-artificial reduced cost below ``-_COST_TOL``, so
-    that no other vertex ties it.
+    ``certify``'s read: the vertex must be feasible and every non-basic,
+    non-artificial reduced cost below ``-_COST_TOL``, so that no other vertex
+    ties it.
     """
-    cert = certify_stack(lp, lp.matrix, basis)
+    cert = certify(lp, basis)
     if cert is None or not (cert.feasible and (cert.reduced < -_COST_TOL).all()):
         return None
     return LpSolution("optimal", float(lp.objective @ cert.x), cert.x, tuple(sorted(basis)),
@@ -287,92 +278,68 @@ def _reused(lp: LinearProgram, basis: tuple[int, ...]) -> LpSolution | None:
 
 
 class Certificate(NamedTuple):
-    """One basis read on each program of a stack (``certify_stack``), indexed
-    by the stack's leading axes.
+    """One basis read on one program (``certify``).
 
-    ``x`` is each program's vertex in the original variables and ``duals``
-    its multipliers, one per input row, as in ``LpSolution``.  ``reduced``
-    holds the reduced costs of the standardized columns before the
-    artificial ones, -inf on the basic columns.  A program is optimal on the
-    basis when it is ``feasible`` and none of its reduced costs exceeds
-    ``_COST_TOL`` (the cold simplex's own stopping rule), and the basis is
-    its unique optimum when every one is below ``-_COST_TOL``.
+    ``x`` is the vertex in the original variables and ``duals`` its
+    multipliers, one per input row, as in ``LpSolution``.  ``reduced`` holds
+    the reduced costs of the standardized columns before the artificial
+    ones, -inf on the basic columns.  The basis is the program's unique
+    optimum when it is ``feasible`` and every reduced cost is below
+    ``-_COST_TOL``.
     """
 
     x: np.ndarray
     duals: np.ndarray
     reduced: np.ndarray
-    feasible: np.ndarray
+    feasible: bool
 
-    def optimal(self) -> np.ndarray:
-        """Which programs the cold simplex would stop at this basis."""
-        return self.feasible & (self.reduced <= _COST_TOL).all(axis=-1)
+    def optimal(self) -> bool:
+        """Whether the cold simplex would stop at this basis: it is feasible
+        and no reduced cost exceeds ``_COST_TOL``."""
+        return self.feasible and bool((self.reduced <= _COST_TOL).all())
 
 
-def certify_stack(lp: LinearProgram, mats: np.ndarray,
-                  basis: tuple[int, ...]) -> Certificate | None:
-    """``basis`` read, without pivoting, on ``lp`` with each (m, n) matrix of
-    the (..., m, n) stack ``mats``; None if it is no basis of these programs.
+def certify(lp: LinearProgram, basis: tuple[int, ...]) -> Certificate | None:
+    """``basis`` read on ``lp`` without pivoting; None if it is unusable.
 
-    The standardized programs are the cold solve's start (``_start``) with
-    the matrix columns filled in, and what the read needs that no matrix
-    changes is cached per program fields and basis (``_held``).  The basis
-    must be full size and hold no artificial column.  Each B is inverted
-    once, giving the vertex x_B = B^-1 b and the multipliers y = c_B B^-1.
-    x_B is clipped at 0, and so is an entry below ``_EPS`` (2^-52) times its
-    largest: the round-off of a basic variable at a degenerate 0, which
-    would fail a row of its own, such as TDBC's lam3 = 0.  A vertex is
-    feasible if it meets every row to within ``_REUSE_TOL`` of that row's
-    size, |B x_B - b| <= ``_REUSE_TOL`` (|B| x_B + |b|): the row test on the
-    whole standardized matrix, as the vertex is zero off the basis.  A
-    program whose B is singular is refused on its own: infeasible, read with
-    B^-1 = 0.  Each program's numbers are the ones it gets alone, bit for
-    bit; a lone (m, n) matrix is read without the stack's broadcasting.
+    The standardized program is the cold solve's start (``_start``) with
+    the matrix columns filled in, and what the read needs that the matrix
+    does not change is cached per program fields and basis (``_held``).  The
+    basis must be full size and hold no artificial column, and its matrix B
+    must be regular with a finite inverse.  B is inverted once, giving the
+    vertex x_B = B^-1 b and the multipliers y = c_B B^-1.  x_B is clipped at
+    0, and so is an entry below ``_EPS`` (2^-52) times its largest: the
+    round-off of a basic variable at a degenerate 0, which would fail a row
+    of its own, such as TDBC's lam3 = 0.  The vertex is feasible if it meets
+    every row to within ``_REUSE_TOL`` of that row's size, |B x_B - b| <=
+    ``_REUSE_TOL`` (|B| x_B + |b|): the row test on the whole standardized
+    matrix, as the vertex is zero off the basis.
     """
     held = _held(lp.bounds, lp.relations, lp.rhs.tobytes(), lp.objective.tobytes(), lp.sense,
                  tuple(basis))  # a list basis, as read back from JSON, too
     if held is None:
         return None
     var, scale, s_j, s_k, s_sign, f_j, f_k, start, idx, cost, c_b, b, abs_b, dual_sign = held
-    if mats.ndim == 2:  # a lone program, with no broadcast fill
-        A = start.copy()
-    else:
-        A = np.empty(mats.shape[:-1] + start.shape[-1:])
-        A[...] = start
-    np.multiply(mats.take(var, axis=-1), scale, out=A[..., :var.size])
-    B = A.take(idx, axis=-1)
-    # One singular member fails the whole stack's inversion.  A stack first
-    # inverts its members with an all-zero row (DF's zeroed capacities) as
-    # the identity, which saves the six-state DF search 7-26% a preset ray
-    # against a failed inversion and determinants; a lone program skips that
-    # screen, which would cost each reused sweep ray a few percent.  Any other
-    # singular member is found by its determinant once the inversion raises.
-    # All of them are refused, as are members whose inverse overflows.
-    usable = True  # a lone program's, until it is refused
-    if B.ndim > 2:
-        usable = (B != 0.0).any(axis=-1).all(axis=-1)
-        B = np.where(usable[..., None, None], B, np.eye(len(idx)))
+    A = start.copy()
+    np.multiply(lp.matrix.take(var, axis=1), scale, out=A[:, :var.size])
+    B = A.take(idx, axis=1)
     try:
         inv = np.linalg.inv(B)
-    except np.linalg.LinAlgError:
-        usable = usable & (np.linalg.slogdet(B)[0] != 0.0)
-        inv = np.linalg.inv(np.where(usable[..., None, None], B, np.eye(len(idx))))
-    if not np.isfinite(inv).all():
-        usable = usable & np.isfinite(inv).all(axis=(-2, -1))
-    if usable is not True:
-        inv = np.where(usable[..., None, None], inv, 0.0)
+    except np.linalg.LinAlgError:  # singular, such as a DF split's all-zero row
+        return None
+    if not np.isfinite(inv).all():  # overflowed
+        return None
     xb = inv @ b
-    xb = np.where(xb > _EPS * np.maximum.reduce(np.abs(xb), axis=-2, keepdims=True), xb, 0.0)
-    feasible = usable & (np.abs(B @ xb - b)
-                         <= _REUSE_TOL * (np.abs(B) @ xb + abs_b)).all(axis=(-2, -1))
+    xb = np.where(xb > _EPS * np.abs(xb).max(), xb, 0.0)
+    feasible = bool((np.abs(B @ xb - b) <= _REUSE_TOL * (np.abs(B) @ xb + abs_b)).all())
     y = c_b @ inv  # a row
-    reduced = cost - (y @ A[..., :cost.size])[..., 0, :]
-    reduced[..., idx] = -_INF
-    duals = dual_sign * y[..., 0, :]  # each row's identity column is e_i, so y_i is its dual
-    u = np.zeros(xb.shape[:-2] + start.shape[-1:])
-    u[..., idx] = xb[..., 0]
-    x = _points(lp, u, s_j, s_k, s_sign, f_j, f_k)
-    return Certificate(x, duals, reduced, feasible)
+    reduced = cost - (y @ A[:, :cost.size])[0]
+    reduced[idx] = -_INF
+    u = np.zeros(start.shape[1])
+    u[idx] = xb[:, 0]
+    # each row's identity column is e_i, so y_i is its dual
+    return Certificate(_points(lp, u, s_j, s_k, s_sign, f_j, f_k), dual_sign * y[0], reduced,
+                       feasible)
 
 
 def _no_optimum(lp: LinearProgram, status: str) -> LpSolution:
@@ -437,7 +404,7 @@ def _start(bounds: tuple, relations: tuple, rhs: bytes) -> tuple:
 @functools.lru_cache(maxsize=256)
 def _held(bounds: tuple, relations: tuple, rhs: bytes, objective: bytes, sense: str,
           basis: tuple[int, ...]) -> tuple | None:
-    """What a read of ``basis`` (``certify_stack``) on the programs with these
+    """What a read of ``basis`` (``certify``) on the programs with these
     fields (``rhs`` and ``objective`` as float64 bytes) needs that their
     matrix does not change, built once and cached as read-only arrays; None
     if ``basis`` is no basis of them: not full size, or holding an

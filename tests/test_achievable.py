@@ -419,7 +419,7 @@ class TestSixStateDfBounds:
             return best(*args)
 
         best = achievable._df_best
-        counted("certify_stack", achievable.certify_stack)
+        counted("certify", achievable.certify)
         counted("_solve_split", achievable._solve_split)
         monkeypatch.setattr(achievable, "_df_best", stage)
         idle = []

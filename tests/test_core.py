@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from twrc import (
     ChannelGains,
@@ -44,9 +44,15 @@ def test_cap_rejects_bad_input(bad):
 
 
 @given(snr, snr)
+@example(999999999999.998, 1e12)  # neighbouring floats with one rounded log2
 def test_cap_monotone(x, y):
     lo, hi = sorted((x, y))
-    if 1.0 + lo < 1.0 + hi:  # strictly increasing wherever floats can tell them apart
+    assert cap(lo) <= cap(hi)
+    a, b = 1.0 + lo, 1.0 + hi
+    # log2(b/a) >= (b - a)/b, so past four ulps of log2(b) two results within
+    # an ulp of exact are strictly ordered (1 + lo < 1 + hi alone is not
+    # enough: near 1e12 neighbouring floats share a rounded log2)
+    if (b - a) / b > 4.0 * math.ulp(math.log2(b)):
         assert cap(lo) < cap(hi)
 
 

@@ -399,8 +399,8 @@ def test_one_cached_start_serves_every_objective(case_a):
 
 def held_read(lp, basis):
     """The certificate of ``basis`` on ``lp`` and ``_reused``'s verdict, as bytes."""
-    cert = lp_module.certify_stack(lp, lp.matrix, basis)
-    return (cert.x.tobytes(), cert.duals.tobytes(), cert.reduced.tobytes(), bool(cert.feasible),
+    cert = lp_module.certify(lp, basis)
+    return (cert.x.tobytes(), cert.duals.tobytes(), cert.reduced.tobytes(), cert.feasible,
             reused_decision(lp, basis))
 
 
@@ -458,8 +458,7 @@ def test_lone_reads_refuse_artificial_and_overflowing_bases():
         assert cold.is_optimal and cold.basis != basis
         assert lp_module._reused(lp, basis) is None
         assert_same_solution(solve_lp(lp, basis), cold)
-    assert lp_module.certify_stack(eq, eq.matrix, (0, first_art)) is None
-    assert not lp_module.certify_stack(tiny, tiny.matrix, (0, 1)).feasible
+        assert lp_module.certify(lp, basis) is None
 
 
 def test_derived_program_rejects_a_bad_matrix():
@@ -477,80 +476,82 @@ def reused_decision(lp, basis):
     return None if sol is None else (sol.x.tobytes(), sol.duals.tobytes())
 
 
-def certificate_stacks(case_a, case_c, low_snr):
-    """(template, matrices, basis) triples: protocol programs along a ray grid
-    under one ray's optimal basis, and a DF grid under one split's."""
+def certificate_reads(case_a, case_c, low_snr):
+    """(program, basis) pairs: protocol programs along a ray grid under one
+    ray's optimal basis, and the programs of a DF grid under one split's."""
     rays = [k for _, k in ray_grid(15)]
     for gains in (case_a, case_c, low_snr):
         for system in (achievable.hbc_system(gains), achievable.six_state_system(gains),
                        achievable.comabc_system(gains), outer.cut_set_system(gains)):
             program = achievable.ray_programs(system)
-            mats = np.array([program(k).matrix for k in rays])
             for k in (0.0, 1.0, 3.0):
-                yield program(k), mats, solve_lp(program(k)).basis
+                basis = solve_lp(program(k)).basis
+                yield from ((program(ray), basis) for ray in rays)
         template = achievable.ray_programs(achievable._df_matrix(gains))(0.3)
         axis = np.linspace(0.0, 1.0, 9)
-        mats = achievable._with_splits(template, achievable._df_splits(gains, axis, axis))
+        programs = [template.with_matrix(mat) for mat in achievable._with_splits(
+            template, achievable._df_splits(gains, axis, axis))]
         for i in (0, 40, 80):
-            yield template, mats, solve_lp(template.with_matrix(mats[i])).basis
+            basis = solve_lp(programs[i]).basis
+            yield from ((lp, basis) for lp in programs)
 
 
-def test_stacked_certificate_decides_as_a_lone_reuse(case_a, case_c, low_snr):
-    # every member of a stack gets _reused's verdict, point and duals bit for
-    # bit, and the cold simplex's stopping rule as on its own
-    accepted = optimal = members = 0
-    for template, mats, basis in certificate_stacks(case_a, case_c, low_snr):
-        cert = lp_module.certify_stack(template, mats, basis)
-        for i, mat in enumerate(mats):
-            lp = template.with_matrix(mat)
-            lone = lp_module.certify_stack(lp, mat, basis)
-            unique = bool(cert.feasible[i] and (cert.reduced[i] < -lp_module._COST_TOL).all())
-            want = reused_decision(lp, basis)
-            assert unique == (want is not None)
-            if unique:
-                assert (cert.x[i].tobytes(), cert.duals[i].tobytes()) == want
-            assert cert.optimal()[i] == lone.optimal()
-            accepted += unique
-            optimal += bool(cert.optimal()[i])
-            members += 1
-    assert 0 < accepted < optimal < members
+def test_certificate_decides_as_a_reuse(case_a, case_c, low_snr):
+    # each read gets _reused's verdict, point and duals bit for bit, and a
+    # basis it finds optimal (the cold simplex's stopping rule) holds the
+    # cold optimum's value
+    accepted = optimal = reads = 0
+    for lp, basis in certificate_reads(case_a, case_c, low_snr):
+        cert = lp_module.certify(lp, basis)
+        unique = cert is not None and cert.feasible and bool(
+            (cert.reduced < -lp_module._COST_TOL).all())
+        want = reused_decision(lp, basis)
+        assert unique == (want is not None)
+        if unique:
+            assert (cert.x.tobytes(), cert.duals.tobytes()) == want
+        if cert is not None and cert.optimal():
+            assert cert.optimal() is True
+            assert lp.objective @ cert.x == pytest.approx(solve_lp(lp).value, rel=1e-9, abs=1e-12)
+            optimal += 1
+        accepted += unique
+        reads += 1
+    assert 0 < accepted < optimal < reads
 
 
-def standardized_basis_matrices(template, mats, basis):
-    """Each program's basis matrix B in the standardized form, built by hand."""
-    start = lp_module._start(template.bounds, template.relations, template.rhs.tobytes())
+def standardized_basis_matrix(lp, basis):
+    """The program's basis matrix B in the standardized form, built by hand."""
+    start = lp_module._start(lp.bounds, lp.relations, lp.rhs.tobytes())
     (var, scale), block = (start[0], start[2]), start[11]
-    A = np.repeat(block[None, :, :-1], len(mats), axis=0)
-    A[:, :, :var.size] = mats[:, :, var] * scale
-    return A[:, :, list(basis)]
+    A = block[:, :-1].copy()
+    A[:, :var.size] = lp.matrix[:, var] * scale
+    return A[:, list(basis)]
 
 
 def test_certificate_refuses_singular_members_alone(case_a):
-    # DF splits at alpha in {0, 1} zero a capacity, which leaves some members
-    # a basis matrix with an all-zero row: they are refused, the rest are read
+    # DF splits at alpha in {0, 1} zero a capacity, which leaves some splits
+    # a basis matrix with an all-zero row: they get no certificate, and
+    # solve_lp on that basis is the cold solve, bit for bit
     template = achievable.ray_programs(achievable._df_matrix(case_a))(1.0)
     axis = np.linspace(0.0, 1.0, 9)
     splits = achievable._df_splits(case_a, axis, axis)
-    mats = achievable._with_splits(template, splits)
-    basis = solve_lp(template.with_matrix(mats[40])).basis
-    B = standardized_basis_matrices(template, mats, basis)
-    singular = np.linalg.matrix_rank(B) < len(basis)
-    assert 0 < singular.sum() < len(mats)
-    assert all({a1, a2} & {0.0, 1.0} for (a1, a2, _), s in zip(splits, singular) if s)
-    cert = lp_module.certify_stack(template, mats, basis)
-    assert not cert.feasible[singular].any() and (cert.x[singular] == 0.0).all()
-    assert cert.optimal()[~singular].sum() > 0
-    for i in np.nonzero(singular)[0]:
-        assert not lp_module.certify_stack(template, mats[i], basis).feasible
+    programs = [template.with_matrix(mat) for mat in achievable._with_splits(template, splits)]
+    basis = solve_lp(programs[40]).basis
+    zero_row = [not standardized_basis_matrix(lp, basis).any(axis=1).all() for lp in programs]
+    assert 0 < sum(zero_row) < len(programs)
+    assert all({a1, a2} & {0.0, 1.0} for (a1, a2, _), z in zip(splits, zero_row) if z)
+    certs = [lp_module.certify(lp, basis) for lp in programs]
+    assert all(cert is None for cert, z in zip(certs, zero_row) if z)
+    assert sum(cert.optimal() for cert in certs if cert is not None) > 0
+    for lp in (lp for lp, z in zip(programs, zero_row) if z):
+        assert_same_solution(solve_lp(lp, basis), solve_lp(lp))
 
     # max x1 + x2 over x1 + x2 <= 1 and x1 + x2 <= 2 on basis (0, 1): two
-    # equal basic columns and no zero row; the second member is regular
+    # equal basic columns and no zero row; on a regular matrix it is read
     lp = LinearProgram([1.0, 1.0], [[1.0, 1.0], [1.0, 1.0]], ("<=", "<="), [1.0, 2.0])
-    cert = lp_module.certify_stack(lp, np.array([lp.matrix, np.eye(2)]), (0, 1))
-    assert cert.feasible.tolist() == [False, True]
-    assert cert.x[1].tolist() == [1.0, 2.0]
-    assert not lp_module.certify_stack(lp, lp.matrix, (0, 1)).feasible
+    assert lp_module.certify(lp, (0, 1)) is None
     assert lp_module._reused(lp, (0, 1)) is None
+    assert_same_solution(solve_lp(lp, (0, 1)), solve_lp(lp))
+    assert lp_module.certify(lp.with_matrix(np.eye(2)), (0, 1)).x.tolist() == [1.0, 2.0]
 
 
 def test_certified_df_rates_match_cold_solves(monkeypatch):
@@ -560,12 +561,11 @@ def test_certified_df_rates_match_cold_solves(monkeypatch):
     stages = []  # per grid stage, what its certificates read
     rating = []  # per grid stage, whether it rates any split (reads or solves)
 
-    def record(lp, mats, basis):
+    def record(lp, basis):
         rating[-1] = True
-        cert = lp_module.certify_stack(lp, mats, basis)
-        if cert is not None:
-            ok = cert.optimal()
-            stages[-1].append((lp, mats[ok], cert.x[ok, 0]))
+        cert = lp_module.certify(lp, basis)
+        if cert is not None and cert.optimal():
+            stages[-1].append((lp, cert.x[0]))
         return cert
 
     def solve(*args):
@@ -578,7 +578,7 @@ def test_certified_df_rates_match_cold_solves(monkeypatch):
         return best(*args)
 
     best, solve_split = achievable._df_best, achievable._solve_split
-    monkeypatch.setattr(achievable, "certify_stack", record)
+    monkeypatch.setattr(achievable, "certify", record)
     monkeypatch.setattr(achievable, "_solve_split", solve)
     monkeypatch.setattr(achievable, "_df_best", stage)
     for name in sorted(PRESETS):
@@ -586,11 +586,10 @@ def test_certified_df_rates_match_cold_solves(monkeypatch):
         for grid in (9, 33):
             for _, k in ray_grid(3):
                 achievable.six_state_df_boundary(k, gains, alpha_grid=grid)
-                for lp, mats, rates in stages[-1] + stages[-2]:
-                    cold = [solve_lp(lp.with_matrix(mat)).x[0] for mat in mats]
-                    assert np.allclose(rates, cold, rtol=achievable._DF_READ_RTOL, atol=0.0), \
-                        (name, grid, k)
+                for lp, rate in stages[-1] + stages[-2]:
+                    assert np.isclose(rate, solve_lp(lp).x[0], rtol=achievable._DF_READ_RTOL,
+                                      atol=0.0), (name, grid, k)
     # 18 refinement stages rate nothing, as their bounds rule out beating the
     # coarse pick; most stages that rate read some rate (60 of the 62 do)
-    reading = sum(any(len(rates) for _, _, rates in reads) for reads in stages)
+    reading = sum(bool(reads) for reads in stages)
     assert len(stages) == 4 * 2 * 5 * 2 and sum(rating) == 62 and reading >= 56
