@@ -335,8 +335,11 @@ def six_state_df_boundary(k: float, gains: ChannelGains, alpha_grid: int = 33,
     Each grid stage bounds every split's rate by weak duality from the duals
     of the splits it has rated and rates only the splits those bounds leave
     in contention, most of them from the optimal bases of a few solved
-    splits and the rest by ``solve_lp``, one split at a time (``_df_best``);
-    the refinement starts from the bases and duals the coarse grid found.
+    splits and the rest by ``solve_lp``; while a stage trusts its bounds, a
+    batch of splits cold-solves only its first split that no held basis
+    rates and leaves the rest to the refreshed bounds and the new basis
+    (``_df_best``).  The refinement starts from the bases and duals the
+    coarse grid found.
     The point returned is the chosen split's own solve, the one a
     point-by-point search returns wherever each rate read from a basis lies
     within ``_DF_READ_RTOL`` of the split's cold rate and no cold rate
@@ -393,8 +396,14 @@ def _df_best(template: LinearProgram, gains: ChannelGains, axis1, axis2,
     highest bounds: a batch starts at one split, doubles while the new
     bounds prune fewer open splits than were just rated and drops back to
     one when they prune more, so a flat grid, where the bounds prune little,
-    is rated in large batches.  A batch's reads come first, then the cold
-    solves of the splits no held basis rates, in the batch's order.
+    is rated in large batches.  A batch first reads each of its splits on
+    the held bases not yet read on it (within a stage ``bases`` only grows
+    and a read depends only on the split and the basis, so a split that
+    returns to a batch is read only on the bases added since).  Then it
+    cold-solves the first split, in batch order, that no basis rated, and
+    leaves its other unrated splits open: the new duals may prune them and
+    the new basis may rate them.  A stage that no longer trusts its bounds
+    cold-solves every split its reads leave, as its bounds prune nothing.
 
     The split kept is the one a point-by-point search keeps: the first, in
     grid order, whose cold rate is within ``_DF_TIE_RTOL`` of the best cold
@@ -429,6 +438,7 @@ def _df_best(template: LinearProgram, gains: ChannelGains, axis1, axis2,
     solved: dict[int, tuple[np.ndarray, TimeShares, tuple[int, ...]]] = {}
     rated = np.zeros(len(splits), dtype=bool)
     cold = np.zeros(len(splits), dtype=bool)
+    met = np.zeros(len(splits), dtype=int)  # per split, the bases read on it so far
     if (bound * (1.0 + _DF_READ_RTOL) - incumbent <= _DF_TIE_RTOL * incumbent).all():
         return None, trusted  # no split can beat the incumbent
 
@@ -443,11 +453,11 @@ def _df_best(template: LinearProgram, gains: ChannelGains, axis1, axis2,
                 bases.append(sol.basis)
         rated[at] = cold[at] = True
 
-    def rate(at) -> None:  # rates the splits at ``at`` from a held basis, else cold
+    def rate(at) -> None:  # rates the splits at ``at`` from the bases each has not met, else cold
         left = []
         for i in at:
             lp = template.with_matrix(_with_splits(template, [splits[i]])[0])
-            for basis in bases:
+            for basis in bases[met[i]:]:
                 cert = certify(lp, basis)
                 if cert is not None and cert.optimal():
                     rates[i] = cert.x[0]
@@ -456,7 +466,8 @@ def _df_best(template: LinearProgram, gains: ChannelGains, axis1, axis2,
                     break
             else:
                 left.append(i)
-        solve(left)
+            met[i] = len(bases)
+        solve(left[:1] if trusted else left)  # trusted bounds may prune the rest
 
     def state():  # the pick (None if none is live), and the live splits that may displace it
         nonlocal trusted

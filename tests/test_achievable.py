@@ -248,6 +248,15 @@ class TestSixStateDfStacked:
             assert (df_outcome(six_state_df_boundary, k, gains, alpha_grid=9)
                     == df_outcome(df_point_by_point, k, gains, alpha_grid=9))
 
+    @pytest.mark.parametrize("preset, solves",
+                             [("case-a", 16), ("case-b", 21), ("case-c", 22), ("low-snr", 10)])
+    def test_preset_cold_solves(self, monkeypatch, preset, solves):
+        # the cold solves over ray_grid(3) at grid 9, which repeat exactly
+        gains = preset_scenario(preset).gains()
+        stages = df_stage_events(monkeypatch, [(k, gains, dict(alpha_grid=9))
+                                               for _, k in ray_grid(3)])
+        assert sum(events.count("solve") for events in stages) == solves
+
     def test_grid_33_matches_point_by_point(self, case_c):
         # case-c's symmetric ray takes the most certificate rounds at grid 33
         assert (df_outcome(six_state_df_boundary, 1.0, case_c, alpha_grid=33)
@@ -256,7 +265,7 @@ class TestSixStateDfStacked:
     def test_random_channels_match_point_by_point(self):
         # bit for bit, except where the point-by-point search raises or is
         # farther from HiGHS's search than the stacked one, which is within
-        # 1e-9 of it: three of the 100 calls, all at gamma3 = 1e-12*gamma1
+        # 1e-9 of it: four of the 100 calls, all at gamma3 = 1e-12*gamma1
         rng = np.random.default_rng(2026)
         ks = (0.0, 1.0, math.inf, 1e6)
         changed = []
@@ -277,7 +286,7 @@ class TestSixStateDfStacked:
                     old = float.fromhex(want[0] if k > 1.0 else want[1])
                     assert abs(old - ref) > abs(rate - ref), (i, k, old, rate, ref)
                 changed.append((i, k))
-        assert changed == [(3, 1e6), (33, 1.0), (47, 1e6)]
+        assert changed == [(3, 1e6), (19, 1e6), (33, 1.0), (47, 1e6)]
 
     def test_grid_spanning_several_chunks(self, case_b):
         assert (df_outcome(six_state_df_boundary, 0.7, case_b, alpha_grid=17, refine=False)
@@ -329,6 +338,44 @@ def recorded_bounds(monkeypatch, calls):
         except SolverError:
             pass
     return seen
+
+
+def df_stage_events(monkeypatch, calls):
+    """Run six_state_df_boundary on each (k, gains, kwargs) of ``calls``; per
+    grid stage (one ``_df_best`` call), its events in order: "bounds" for
+    each bound evaluation, ("certify", split, basis) for each basis read on
+    a split (the split as its program's matrix bytes) and "solve" for each
+    cold solve."""
+    stages = []
+    best, make = achievable._df_best, achievable._df_bounds
+    read, solve = achievable.certify, achievable._solve_split
+
+    def stage(*args):
+        stages.append([])
+        return best(*args)
+
+    def bounds_of(template, splits, n2):
+        fn = make(template, splits, n2)
+
+        def record(duals):
+            stages[-1].append("bounds")
+            return fn(duals)
+        return record
+
+    def certify(lp, basis):
+        stages[-1].append(("certify", lp.matrix.tobytes(), basis))
+        return read(lp, basis)
+
+    def solve_split(*args):
+        stages[-1].append("solve")
+        return solve(*args)
+
+    for name, fn in (("_df_best", stage), ("_df_bounds", bounds_of), ("certify", certify),
+                     ("_solve_split", solve_split)):
+        monkeypatch.setattr(achievable, name, fn)
+    for k, gains, kwargs in calls:
+        six_state_df_boundary(k, gains, **kwargs)
+    return stages
 
 
 class TestSixStateDfBounds:
@@ -432,6 +479,31 @@ class TestSixStateDfBounds:
                 idle.append(k)
         assert idle == [1.0, ray_grid(3)[3][1], math.inf]
         assert round(idle[1], 1) == 114.6
+
+    def test_batch_cold_solves_one_split_and_reads_each_basis_once(self, monkeypatch):
+        # on the presets at grids 9 and 33, a stage reads each held basis on
+        # a split at most once, a split that returns to a batch only on the
+        # bases added since, and a stage that trusts its bounds cold-solves
+        # at most one split between two bound evaluations
+        calls = [(k, preset_scenario(name).gains(), dict(alpha_grid=grid))
+                 for name in sorted(PRESETS) for grid in (9, 33) for _, k in ray_grid(3)]
+        twice, crowded, returned, between = [], [], 0, 0
+        for s, events in enumerate(df_stage_events(monkeypatch, calls)):
+            reads = [e for e in events if isinstance(e, tuple)]
+            twice += [(s, e[2]) for e, n in collections.Counter(reads).items() if n > 1]
+            segments = [[]]
+            for e in events:
+                if e == "bounds":
+                    segments.append([])
+                else:
+                    segments[-1].append(e)
+            crowded += [s for seg in segments[1:-1] if seg.count("solve") > 1]
+            between += sum(seg.count("solve") for seg in segments[1:-1])
+            batches = collections.Counter(split for seg in segments
+                                          for split in {e[1] for e in seg if isinstance(e, tuple)})
+            returned += sum(n > 1 for n in batches.values())
+        assert twice == [] and crowded == []
+        assert returned > 0 and between > 0  # splits do return; solves do fall between
 
     @pytest.mark.parametrize("grid", [3.0, 2.5, math.nan, "9", None])
     def test_alpha_grid_must_be_an_integer(self, case_a, grid):
