@@ -10,9 +10,10 @@ are the six-state system over their states.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -243,21 +244,23 @@ _DF_ROWS = (
 _DF_SPLIT_ENTRIES = tuple((row, _DF_COLUMNS.index(col) - 1) for name in _DF_SPLIT_CAPS
                           for row, (terms, _) in enumerate(_DF_ROWS)
                           for col, v in terms.items() if v == name)
+_DF_SPLIT_ROWS, _DF_SPLIT_COLS = np.array(_DF_SPLIT_ENTRIES).T
 # per column of the ray-tied system (column 0 merges Ra and Rb), the rows that
 # may hold a nonzero entry, padded with the index one past the last row
-_DF_NONZERO = tuple(
+_DF_NONZERO = np.array([
     (rows + [len(_DF_ROWS)] * 4)[:4] for rows in (
         [r for r, (terms, _) in enumerate(_DF_ROWS)
          if any(max(_DF_COLUMNS.index(col) - 1, 0) == j for col in terms)]
-        for j in range(len(_DF_COLUMNS) - 1)))
-# per flow, in column order: the column of its state's share, and the two
-# ``<=`` rows that cap it by that share (one row twice if it has one)
-_DF_FLOW_SHARE = np.array([_DF_COLUMNS.index(f"lam{f[2]}") - 1 for f in _DF_FLOWS])
+        for j in range(len(_DF_COLUMNS) - 1))])
+# per flow, in column order, the two ``<=`` rows that cap it by its state's
+# share (one row twice if it has one)
 _DF_CAP_ROWS = np.array([(rows * 2)[-2:] for rows in (
     [r for r, (terms, rel) in enumerate(_DF_ROWS) if rel == "<=" and f in terms]
     for f in _DF_FLOWS)])
 # per rate row (Ra's, Rb's), which flows make up that rate
 _DF_SOURCE = np.array([[terms.get(f) == -1 for f in _DF_FLOWS] for terms, _ in _DF_ROWS[:2]])
+# per row, the least dual a bound takes: 0 on the ``<=`` rows
+_DF_FLOOR = np.array([0.0 if rel == "<=" else -np.inf for _, rel in _DF_ROWS])
 # split rates within this relative distance of a grid stage's best are tied
 _DF_TIE_RTOL = 1e-12
 # a split's rate read from a basis is taken to lie within this relative
@@ -267,7 +270,7 @@ _DF_READ_RTOL = 1e-13
 
 def _df_matrix(gains: ChannelGains) -> System:
     """The six-state DF system (``_DF_ROWS`` over ``_DF_COLUMNS``), with the
-    power-split entries 0 until a split sets them (``_with_splits``)."""
+    power-split entries 0 until a split sets them (``_split_program``)."""
     caps = link_capacities(gains)
     A = np.zeros((len(_DF_ROWS), len(_DF_COLUMNS)))
     for row, (terms, _) in enumerate(_DF_ROWS):
@@ -291,24 +294,24 @@ def _df_splits(gains: ChannelGains, axis1, axis2) -> list[tuple[float, float, li
     return [(a1, a2, e1 + e2) for a1, e1 in ent1 for a2, e2 in ent2]
 
 
-def _with_splits(template: LinearProgram, splits) -> np.ndarray:
-    """The ray-tied DF program's matrix once per split, with its entries set."""
-    rows, cols = zip(*_DF_SPLIT_ENTRIES)
-    mats = np.repeat(template.matrix[None], len(splits), axis=0)
-    mats[:, rows, cols] = [entries for _, _, entries in splits]
-    return mats
+def _split_program(template: LinearProgram, split) -> LinearProgram:
+    """The ray-tied DF program at one split of ``_df_splits``: one copy of the
+    template's matrix with the split's entries set."""
+    A = template.matrix.copy()
+    A[_DF_SPLIT_ROWS, _DF_SPLIT_COLS] = split[2]
+    return template.with_matrix(A)
 
 
-def _solve_split(template: LinearProgram, split) -> LpSolution:
-    """The cold solve of the ray-tied DF program at one split of ``_df_splits``."""
-    (A,) = _with_splits(template, [split])
-    return solve_lp(template.with_matrix(A))
+def _solve_split(lp: LinearProgram) -> LpSolution:
+    """The cold solve of one split's program (``_split_program``)."""
+    return solve_lp(lp)
 
 
 def _df_point(k: float, gains: ChannelGains, alpha1: float, alpha2: float) -> BoundaryPoint:
     template = ray_programs(_df_matrix(gains))(k)
     (split,) = _df_splits(gains, [alpha1], [alpha2])
-    return _df_boundary_point(k, *_df_solved(_solve_split(template, split)), alpha1, alpha2)
+    return _df_boundary_point(k, *_df_solved(_solve_split(_split_program(template, split))),
+                              alpha1, alpha2)
 
 
 def _df_boundary_point(k: float, x: np.ndarray, shares: TimeShares,
@@ -348,6 +351,21 @@ def six_state_df_boundary(k: float, gains: ChannelGains, alpha_grid: int = 33,
     of the stage solved, in grid order, which raises the ``SolverError`` of
     the first failing split.
     ``alpha_grid`` must be an integer (a numpy one too) of at least 2.
+    A sweep states the channel once (``df_evaluator``); this is one ray of it.
+    """
+    return df_evaluator(gains, alpha_grid, refine)(k)
+
+
+def df_evaluator(gains: ChannelGains, alpha_grid: int = 33,
+                 refine: bool = True) -> Callable[[float], BoundaryPoint]:
+    """k -> the six-state DF boundary point on the ray Ra = k*Rb
+    (``six_state_df_boundary``), for one channel.
+
+    The channel's DF program, its coarse grid's splits and bound tables
+    (``_df_grid``) are built once, and so is each refinement grid, once per
+    coarse pick it surrounds; a ray ties the program and searches from
+    scratch, holding no basis, dual or pick of another ray, so a swept ray
+    returns what a lone call returns, bit for bit.
     """
     alpha_grid = as_integer("alpha_grid", alpha_grid)
     if alpha_grid < 2:
@@ -355,32 +373,40 @@ def six_state_df_boundary(k: float, gains: ChannelGains, alpha_grid: int = 33,
     if gains.gamma3 == 0.0:
         # every direct-link cap is 0 and each relay-bound cap grows with its
         # alpha, so the split (1, 1) reaches the stage's best rate
-        return _df_point(k, gains, 1.0, 1.0)
+        return lambda k: _df_point(k, gains, 1.0, 1.0)
 
+    program = ray_programs(_df_matrix(gains))
+    matrix = program(0.0).matrix  # a ray changes only column 0 (``_df_bounds``)
     axis = np.linspace(0.0, 1.0, alpha_grid)
-    template = ray_programs(_df_matrix(gains))(k)
-    bases: list[tuple[int, ...]] = []
-    duals: list[np.ndarray] = []
-    best, trusted = _df_best(template, gains, axis, axis, bases, duals, True)
+    coarse = _df_grid(matrix, gains, axis, axis)
+    radius = 1.0 / (alpha_grid - 1)
+    fine: dict[tuple[float, float], _DfGrid] = {}  # per coarse pick, its refinement
 
-    if refine:
-        radius = 1.0 / (alpha_grid - 1)
-        b1, b2 = best[2], best[3]
-        sub1 = np.linspace(max(0.0, b1 - radius), min(1.0, b1 + radius), 9)
-        sub2 = np.linspace(max(0.0, b2 - radius), min(1.0, b2 + radius), 9)
-        fine, _ = _df_best(template, gains, sub1, sub2, bases, duals, trusted, best[0][0])
-        if fine is not None and fine[0][0] - best[0][0] > _DF_TIE_RTOL * best[0][0]:
-            best = fine
-    return _df_boundary_point(k, *best)
+    def point(k: float) -> BoundaryPoint:
+        template = program(k)
+        bases: list[tuple[int, ...]] = []
+        duals: list[np.ndarray] = []
+        best, trusted = _df_best(template, coarse, bases, duals, True)
+        if refine:
+            at = best[2], best[3]
+            if at not in fine:
+                fine[at] = _df_grid(matrix, gains, *(
+                    np.linspace(max(0.0, a - radius), min(1.0, a + radius), 9) for a in at))
+            found, _ = _df_best(template, fine[at], bases, duals, trusted, best[0][0])
+            if found is not None and found[0][0] - best[0][0] > _DF_TIE_RTOL * best[0][0]:
+                best = found
+        return _df_boundary_point(k, *best)
+
+    return point
 
 
-def _df_best(template: LinearProgram, gains: ChannelGains, axis1, axis2,
-             bases: list[tuple[int, ...]], duals: list[np.ndarray], trusted: bool,
-             incumbent: float = -math.inf):
-    """The best split of ``axis1`` x ``axis2`` as ((x, shares, alpha1,
-    alpha2), trusted); x[0] is the rate the ray program maximizes.  With an
-    ``incumbent`` rate, the result is (None, trusted) unless some split may
-    beat it by more than ``_DF_TIE_RTOL``.
+def _df_best(template: LinearProgram, grid: _DfGrid, bases: list[tuple[int, ...]],
+             duals: list[np.ndarray], trusted: bool, incumbent: float = -math.inf):
+    """The best split of ``grid`` (``_df_grid``) on the ray program
+    ``template`` as ((x, shares, alpha1, alpha2), trusted); x[0] is the rate
+    the ray program maximizes.  With an ``incumbent`` rate, the result is
+    (None, trusted) unless some split may beat it by more than
+    ``_DF_TIE_RTOL``.
 
     A branch-and-bound over the grid.  Every dual the search holds
     (``duals``: the multipliers of each split rated so far, in this stage
@@ -424,44 +450,51 @@ def _df_best(template: LinearProgram, gains: ChannelGains, axis1, axis2,
     rate the stage must beat.  If every bound, widened by ``_DF_READ_RTOL``,
     lies within ``_DF_TIE_RTOL`` of the incumbent (a stage that does not
     trust its bounds starts with none finite), no split can beat it and the
-    stage returns None before it rates any.  Otherwise the incumbent is a floor under the best rate: a
-    split surely below it is out, and a stage with no split left live
-    returns None.  Where the stage's best rate beats the incumbent by more
-    than ``_DF_TIE_RTOL``, every split within that of the best lies above
-    the incumbent, so the floor keeps each split a point-by-point search
-    could keep.
+    stage returns None before it rates any.  Otherwise the incumbent is a
+    floor under the best rate: a split surely below it is out, and a stage
+    with no split left live returns None.  Where the stage's best rate
+    beats the incumbent by more than ``_DF_TIE_RTOL``, every split within
+    that of the best lies above the incumbent, so the floor keeps each
+    split a point-by-point search could keep.
     """
-    splits = _df_splits(gains, axis1, axis2)
-    bounds_of = _df_bounds(template, splits, len(axis2))
+    splits = grid.splits
+    bounds_of = _df_bounds(template, grid)
     bound = bounds_of(duals if trusted else [])
-    rates = np.zeros(len(splits))
+    if (bound * (1.0 + _DF_READ_RTOL) - incumbent <= _DF_TIE_RTOL * incumbent).all():
+        return None, trusted  # no split can beat the incumbent
+    program = functools.cache(lambda i: _split_program(template, splits[i]))  # per split met
     solved: dict[int, tuple[np.ndarray, TimeShares, tuple[int, ...]]] = {}
+    rates = np.zeros(len(splits))
+    # per rated split, its rate less and plus its slack (a read's rate is
+    # its cold rate to within _DF_READ_RTOL); lo is -inf on an unrated split
+    lo, hi = np.full(len(splits), -np.inf), np.zeros(len(splits))
     rated = np.zeros(len(splits), dtype=bool)
     cold = np.zeros(len(splits), dtype=bool)
     met = np.zeros(len(splits), dtype=int)  # per split, the bases read on it so far
-    if (bound * (1.0 + _DF_READ_RTOL) - incumbent <= _DF_TIE_RTOL * incumbent).all():
-        return None, trusted  # no split can beat the incumbent
+
+    def rated_at(i, rate, slack) -> None:
+        rates[i], lo[i], hi[i] = rate, rate - slack, rate + slack
+        rated[i] = True
 
     def solve(at) -> None:  # cold-solves the splits at ``at``, in that order
         for i in at:
-            sol = _solve_split(template, splits[i])
+            sol = _solve_split(program(i))
             x, shares = _df_solved(sol)
             solved[i] = x, shares, sol.basis
-            rates[i] = x[0]
+            rated_at(i, x[0], 0.0)
             duals.append(sol.duals)
             if sol.basis not in bases:
                 bases.append(sol.basis)
-        rated[at] = cold[at] = True
+        cold[at] = True
 
     def rate(at) -> None:  # rates the splits at ``at`` from the bases each has not met, else cold
         left = []
         for i in at:
-            lp = template.with_matrix(_with_splits(template, [splits[i]])[0])
+            lp = program(i)
             for basis in bases[met[i]:]:
                 cert = certify(lp, basis)
                 if cert is not None and cert.optimal():
-                    rates[i] = cert.x[0]
-                    rated[i] = True
+                    rated_at(i, cert.x[0], _DF_READ_RTOL * cert.x[0])
                     duals.append(cert.duals)
                     break
             else:
@@ -473,34 +506,36 @@ def _df_best(template: LinearProgram, gains: ChannelGains, axis1, axis2,
         nonlocal trusted
         cap = bound * (1.0 + _DF_READ_RTOL)  # a bound on the cold rate, with its round-off
         trusted = trusted and not (rated & (rates > cap)).any()
-        slack = np.where(cold, 0.0, _DF_READ_RTOL * rates)
-        lo = np.where(rated, rates - slack, -np.inf)
-        hi = np.where(rated, rates + slack, cap if trusted else np.inf)
+        reach = np.where(rated, hi, cap if trusted else np.inf)  # the most a split may rate
         top = max(lo.max(), incumbent)
-        live = top - hi <= _DF_TIE_RTOL * top  # not surely out
-        if not live.any():
+        live = top - reach <= _DF_TIE_RTOL * top  # not surely out
+        pick = int(live.argmax())
+        if not live[pick]:
             return None, live
-        pick = int(np.argmax(live))
-        return pick, live & (~(hi - lo[pick] <= _DF_TIE_RTOL * hi) | (hi == np.inf))
+        if not rated[pick]:  # lo[pick] = -inf: no live split is surely tied with it
+            return pick, live
+        return pick, live & (~(reach - lo[pick] <= _DF_TIE_RTOL * reach) | (reach == np.inf))
 
     size, held = 1, len(duals)
     try:
         pick, beyond = state()
         while pick is not None:
-            todo = np.nonzero(beyond & ~rated)[0]
+            todo = np.flatnonzero(beyond & ~rated)
             if todo.size:
                 # the pick first (unless none is rated: then it is just the
                 # first corner), then the best bounds, ties from the middle
                 todo = np.concatenate([todo[todo.size // 2:], todo[:todo.size // 2]])
-                first = (todo == pick) & rated.any()
-                todo = todo[np.argsort(np.where(first, -np.inf, -bound[todo]), kind="stable")]
+                key = -bound[todo]
+                if not rated[pick] and rated.any():
+                    key[todo == pick] = -np.inf
+                todo = todo[np.argsort(key, kind="stable")]
                 at = todo[:size if trusted else todo.size]
                 rate(at)
                 if trusted:
                     bound = np.minimum(bound, bounds_of(duals[held:]))
                 held = len(duals)
                 pick, after = state()
-                pruned = (beyond & ~after & ~rated).sum()
+                pruned = np.count_nonzero(beyond & ~after & ~rated)
                 size = size * 2 if pruned < len(at) else 1
                 beyond = after
             elif not cold[pick]:
@@ -522,11 +557,55 @@ def _df_best(template: LinearProgram, gains: ChannelGains, axis1, axis2,
     return (x, shares, *splits[pick][:2]), trusted
 
 
-def _df_bounds(template: LinearProgram, splits, n2: int) -> Callable[[list], np.ndarray]:
-    """duals -> an upper bound on each split's rate: the least, over the
-    duals, of the weak-duality bound of each; +inf where no dual gives a
-    finite one.  ``splits`` is a grid in ``_df_splits``' order with ``n2``
-    splits to a row.
+class _DfGrid(NamedTuple):
+    """A grid of power splits on one channel (``_df_grid``): its splits, in
+    ``_df_splits``' order, and the parts of their bounds that no ray changes."""
+
+    splits: list[tuple[float, float, list[float]]]
+    n1: int  # the splits' rows, one per alpha1
+    rows: np.ndarray  # per term, its column's rows in ``_DF_NONZERO`` (a pad reads row 0)
+    entries: np.ndarray  # per term, its column's entries in those rows
+    share: np.ndarray  # per state term, the term of its share column
+    flows: np.ndarray  # per state term, its two flows
+    caps: np.ndarray  # per state term and flow, the flow's smallest cap
+
+
+def _df_grid(matrix: np.ndarray, gains: ChannelGains, axis1, axis2) -> _DfGrid:
+    """The splits of ``axis1`` x ``axis2`` on the ray-tied DF ``matrix`` (its
+    column 0 any ray's, its split entries 0) and the tables of their bounds
+    (``_df_bounds``).
+
+    A bound sums each column of a split's program over its rows in
+    ``_DF_NONZERO``, and only the share columns of states 1 and 2 change
+    with the split, each with its own alpha.  So the terms are the matrix's
+    columns (a bound reads neither of those two from them), then state 1's
+    share column at each alpha1 and state 2's at each alpha2, each with a 0
+    row appended for the padding to read.
+    """
+    splits = _df_splits(gains, axis1, axis2)
+    n1, n2 = len(axis1), len(axis2)
+    columns = np.vstack([matrix, np.zeros(matrix.shape[1])]).T
+    axes = np.repeat(columns[1:3], [n1, n2], axis=0)
+    axes[:n1, _DF_SPLIT_ROWS[:2]] = [entries[:2] for _, _, entries in splits[::n2]]
+    axes[n1:, _DF_SPLIT_ROWS[2:]] = [entries[2:] for _, _, entries in splits[:n2]]
+    terms = np.concatenate([columns, axes])
+    rows = np.concatenate([_DF_NONZERO, np.repeat(_DF_NONZERO[1:3], [n1, n2], axis=0)])
+    # The state terms: states 3-6, then state 1 at each alpha1 and state 2 at
+    # each alpha2, each its share column's term and its state's two flows
+    # (``_DF_FLOWS`` lists them two to a state).
+    share = np.concatenate([[3, 4, 5, 6], len(columns) + np.arange(n1 + n2)])
+    state = np.concatenate([[2, 3, 4, 5], np.repeat([0, 1], [n1, n2])])  # 0-based
+    flows = 2 * state[:, None] + [0, 1]
+    caps = -np.maximum(terms[share[:, None], _DF_CAP_ROWS[flows, 0]],
+                       terms[share[:, None], _DF_CAP_ROWS[flows, 1]])
+    return _DfGrid(splits, n1, rows % len(_DF_ROWS), np.take_along_axis(terms, rows, axis=1),
+                   share, flows, caps)
+
+
+def _df_bounds(template: LinearProgram, grid: _DfGrid) -> Callable[[list], np.ndarray]:
+    """duals -> an upper bound on the rate of each split of ``grid`` on the
+    ray program ``template``: the least, over the duals, of the weak-duality
+    bound of each; +inf where no dual gives a finite one.
 
     With y a dual clipped to y >= 0 on the ``<=`` rows and d = c - A^T y the
     reduced costs, every feasible x has rate c x <= y b + d x.  y b is the
@@ -536,37 +615,21 @@ def _df_bounds(template: LinearProgram, splits, n2: int) -> Callable[[list], np.
     1, so d x is at most the largest, over the six states, of d_lam_s plus
     the sum over the state's flows of (d_f^+ + d_R^+ if f is R's source's)
     times its capacity.  State 1's term depends on alpha1 only and state 2's
-    on alpha2 only, so a dual bounds the whole grid from the n1 + n2
-    matrices of its two axes.  Each float operation steps one float outward
-    (``np.nextafter``), so the bound is at least the exact bound of that y.
+    on alpha2 only, so a dual bounds the whole grid from the terms of its
+    two axes (``_df_grid``); a ray changes only column 0, R's.  Each float
+    operation steps one float outward (``np.nextafter``), so the bound is at
+    least the exact bound of that y.
     """
-    n1 = len(splits) // n2
-    mats = _with_splits(template, [splits[i * n2] for i in range(n1)] + list(splits[:n2]))
-    mats = np.concatenate([mats, np.zeros((len(mats), 1, mats.shape[2]))], axis=1)  # + a 0 row
-    # The column sums to bound: each column of the first matrix, then state
-    # 1's share column in each of the first n1 matrices (axis 1) and state
-    # 2's in each of the last n2 (axis 2), as (matrix, rows, column).
-    nz = np.array(_DF_NONZERO)
-    cols = np.concatenate([np.arange(len(nz)), np.repeat([1, 2], [n1, n2])])
-    at = np.concatenate([np.zeros(len(nz), dtype=int), np.arange(n1 + n2)])
-    rows = nz[cols]
-    entries = mats[at[:, None], rows, cols[:, None]]
-    rows = rows % len(_DF_ROWS)  # the pad reads y's row 0 against its 0 entry
-    # The terms: states 3-6, then state 1 at each alpha1 and state 2 at each
-    # alpha2, each its share column's sum (an index of those sums) and its
-    # state's two flows (``_DF_FLOWS`` lists them two to a state).
-    share = np.concatenate([[3, 4, 5, 6], len(nz) + np.arange(n1 + n2)])
-    state = np.concatenate([[2, 3, 4, 5], np.repeat([0, 1], [n1, n2])])  # 0-based
-    flows = 2 * state[:, None] + [0, 1]
-    caps = -np.maximum(mats[at[share][:, None], _DF_CAP_ROWS[flows, 0], _DF_FLOW_SHARE[flows]],
-                       mats[at[share][:, None], _DF_CAP_ROWS[flows, 1], _DF_FLOW_SHARE[flows]])
-    source = _DF_SOURCE[int(np.nonzero(template.matrix[:2, 0] == 1.0)[0][0])]
-    floor = np.where([rel == "<=" for _, rel in _DF_ROWS], 0.0, -np.inf)
+    splits, n1, rows, entries, share, flows, caps = grid
+    entries = entries.copy()
+    entries[0, :2] = template.matrix[:2, 0]  # column 0's rows, 0 and 1 (``_DF_NONZERO``)
+    source = _DF_SOURCE[0 if template.matrix[0, 0] == 1.0 else 1]
+    n = len(_DF_NONZERO)
     up, down = (lambda v: np.nextafter(v, np.inf)), (lambda v: np.nextafter(v, -np.inf))
 
     def bounds(duals) -> np.ndarray:
         y = np.array(duals, dtype=float).reshape(-1, len(_DF_ROWS))
-        y = np.maximum(y[np.isfinite(y).all(axis=1)], floor)  # y >= 0 on the <= rows
+        y = np.maximum(y[np.isfinite(y).all(axis=1)], _DF_FLOOR)  # y >= 0 on the <= rows
         if not len(y):
             return np.full(len(splits), np.inf)
         terms = down(y[:, rows] * entries)
@@ -576,12 +639,16 @@ def _df_bounds(template: LinearProgram, splits, n2: int) -> Callable[[list], np.
         # reduced costs c - A^T y, rounded up (c is 1 at column 0 only), and
         # each flow's weight: d_f^+, plus d_R^+ on R's source's flows
         d_rate = np.maximum(up(1.0 - lower[:, 0]), 0.0)
-        w = up(np.maximum(-lower[:, 7:len(nz)], 0.0) + source * d_rate[:, None])
+        w = up(np.maximum(-lower[:, 7:n], 0.0) + source * d_rate[:, None])
         flow = up(w[:, flows] * caps)
         term = up(up(flow[..., 0] - lower[:, share]) + flow[..., 1])
-        best = np.maximum(np.maximum(term[:, 4:4 + n1, None], term[:, None, 4 + n1:]),
-                          term[:, :4].max(axis=1)[:, None, None])
-        out = up(y[:, -1, None, None] + best).reshape(len(y), -1).min(axis=0)
+        # y b plus the largest state term, rounded up: as rounding is
+        # monotone, the larger of each axis's y b + term, rounded up (states
+        # 3-6 join alpha1's), so only the two axes are summed
+        last = y[:, -1, None]
+        one = up(last + np.maximum(term[:, 4:4 + n1], term[:, :4].max(axis=1)[:, None]))
+        two = up(last + term[:, 4 + n1:])
+        out = np.maximum(one[:, :, None], two[:, None, :]).reshape(len(y), -1).min(axis=0)
         return np.where(np.isfinite(out), out, np.inf)
 
     return bounds

@@ -66,15 +66,17 @@ def _analytic_point(k: float, gains: ChannelGains):
 # protocol or bound id -> evaluator factory (gains, alpha_grid) -> (k -> point);
 # the only list of ids.  An LP family's factory states the channel's system and
 # builds its program once, so a ray only ties column 0, derives its program,
-# solves it and expands the shares.  A factory looks its functions up when
-# called, so a rebound module attribute takes effect.
+# solves it and expands the shares.  Six-state DF states its channel once too,
+# with its power-split grid and bound tables, and a ray searches the splits on
+# its tied program.  A factory looks its functions up when called, so a
+# rebound module attribute takes effect.
 _EVALUATORS = {
     "outer": lambda g, a: outer_evaluator(g),
     "outer-analytic": lambda g, a: lambda k: _analytic_point(k, g),
     "mabc": lambda g, a: achievable.ray_evaluator(achievable.mabc_system(g)),
     "tdbc": lambda g, a: achievable.ray_evaluator(achievable.hbc_system(g, tdbc_only=True)),
     "hbc": lambda g, a: achievable.ray_evaluator(achievable.hbc_system(g)),
-    "six-state-df": lambda g, a: lambda k: achievable.six_state_df_boundary(k, g, a),
+    "six-state-df": lambda g, a: achievable.df_evaluator(g, a),
     "six-state": lambda g, a: achievable.ray_evaluator(achievable.six_state_system(g)),
     "comabc": lambda g, a: achievable.ray_evaluator(achievable.comabc_system(g)),
 }

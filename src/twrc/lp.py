@@ -435,7 +435,7 @@ def _simplex(table: np.ndarray, basis: np.ndarray, cost: np.ndarray, allowed: np
 
     Returns "optimal" or "unbounded"; a numerical breakdown raises ``SolverError``.
     """
-    m, w = table.shape
+    w = table.shape[1]
     A, rhs, c = table[:, :w - 1], table[:, -1], cost[:w - 1]
     cand = np.nonzero(allowed)[0].tolist()
     bas = basis.tolist()
@@ -448,17 +448,26 @@ def _simplex(table: np.ndarray, basis: np.ndarray, cost: np.ndarray, allowed: np
             return "optimal"
 
         col, b = table[:, j].tolist(), rhs.tolist()
-        rows = [r for r in range(m) if col[r] > _RATIO_ELIG_TOL]
+        rows, step = [], _INF  # the eligible rows and the least of their Harris steps
+        for r, v in enumerate(col):
+            if v > _RATIO_ELIG_TOL:
+                rows.append(r)
+                s = (b[r] + _HARRIS_TOL) / v
+                if s < step:
+                    step = s
         if not rows:
             if any(v > PIVOT_TOL for v in col):
                 raise SolverError("only near-singular pivots available")
             return "unbounded"
-        step = min([(b[r] + _HARRIS_TOL) / col[r] for r in rows])
         ties = [r for r in rows if b[r] / col[r] <= step]
-        # stability first: the largest pivot among the rows a step of at most
-        # ``step`` may take; deterministic tie-break on the basic-variable index
-        least = max([col[r] for r in ties]) * (1.0 - 1e-9)
-        i = min([r for r in ties if col[r] >= least], key=bas.__getitem__)
+        if len(ties) == 1:
+            i = ties[0]
+        else:
+            # stability first: the largest pivot among the rows a step of at
+            # most ``step`` may take; deterministic tie-break on the
+            # basic-variable index
+            least = max([col[r] for r in ties]) * (1.0 - 1e-9)
+            i = min([r for r in ties if col[r] >= least], key=bas.__getitem__)
 
         _pivot(table, basis, i, j)  # col[i] > _RATIO_ELIG_TOL > PIVOT_TOL
         bas[i] = j

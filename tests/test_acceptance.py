@@ -30,12 +30,12 @@ from twrc import (
     protocol_evaluator,
     run_compare,
     six_state_boundary,
-    six_state_df_boundary,
     solve_lp,
     sweep_region,
     symmetric_rate,
     validate_gains,
 )
+from twrc.achievable import df_evaluator
 from conftest import random_gains, weighted_ray_bound
 from test_lp import random_feasible_bounded_lp
 
@@ -72,17 +72,19 @@ def outer_table(gain_set):
 
 @pytest.fixture(scope="session")
 def protocol_table(gain_set):
-    fns = {
-        "mabc": lambda k, g: mabc_boundary(k, g).rb,
-        "tdbc": lambda k, g: hbc_boundary(k, g, tdbc_only=True).rb,
-        "hbc": lambda k, g: hbc_boundary(k, g).rb,
-        "six-state": lambda k, g: six_state_boundary(k, g).rb,
-        "six-state-df": lambda k, g: six_state_df_boundary(
-            k, g, alpha_grid=DF_ALPHA_GRID, refine=False).rb,
-        "comabc": lambda k, g: comabc_boundary(k, g).rb,
+    # per protocol, gains -> (k -> point); DF states its channel once for
+    # the five rays, as a sweep does (bit for bit a lone call's points)
+    evaluators = {
+        "mabc": lambda g: lambda k: mabc_boundary(k, g),
+        "tdbc": lambda g: lambda k: hbc_boundary(k, g, tdbc_only=True),
+        "hbc": lambda g: lambda k: hbc_boundary(k, g),
+        "six-state": lambda g: lambda k: six_state_boundary(k, g),
+        "six-state-df": lambda g: df_evaluator(g, alpha_grid=DF_ALPHA_GRID, refine=False),
+        "comabc": lambda g: lambda k: comabc_boundary(k, g),
     }
-    return {name: {(i, k): fn(k, g) for i, g in enumerate(gain_set) for k in K_VALUES}
-            for name, fn in fns.items()}
+    return {name: {(i, k): point(k).rb for i, g in enumerate(gain_set)
+                   for point in [make(g)] for k in K_VALUES}
+            for name, make in evaluators.items()}
 
 
 def test_criterion_1_symmetric_capacity_anchor(case_b):

@@ -288,6 +288,28 @@ class TestSixStateDfStacked:
                 changed.append((i, k))
         assert changed == [(3, 1e6), (19, 1e6), (33, 1.0), (47, 1e6)]
 
+    def test_a_sweep_returns_what_lone_calls_return(self, monkeypatch):
+        # one df_evaluator swept over the rays returns each point (or error)
+        # bit for bit as a fresh evaluator per ray does: on the presets along
+        # ray_grid(31) at grids 9 and 33, and on wide channels (gamma3 = 0
+        # and 1e-12*gamma1 among them) at grid 3 without refinement
+        rays = [k for _, k in ray_grid(31)]
+        cases = [(preset_scenario(p).gains(), dict(alpha_grid=grid), rays)
+                 for p in sorted(PRESETS) for grid in (9, 33)]
+        cases += [(g, dict(alpha_grid=3, refine=False), WIDE_KS)
+                  for g in wide_channels(np.random.default_rng(2026), 40)[:20]]
+        make = achievable._df_grid
+        grids = []
+        monkeypatch.setattr(achievable, "_df_grid", lambda *args: grids.append(1) or make(*args))
+        for g, kwargs, ks in cases:
+            evaluate = achievable.df_evaluator(g, **kwargs)
+            grids.clear()
+            swept = [df_outcome(evaluate, k) for k in ks]
+            # a refinement grid is built once per coarse pick, not once per ray
+            assert len(grids) < len(ks) or not kwargs.get("refine", True)
+            assert swept == [df_outcome(lambda k: achievable.df_evaluator(g, **kwargs)(k), k)
+                             for k in ks], (g, kwargs)
+
     def test_grid_spanning_several_chunks(self, case_b):
         assert (df_outcome(six_state_df_boundary, 0.7, case_b, alpha_grid=17, refine=False)
                 == df_outcome(df_point_by_point, 0.7, case_b, alpha_grid=17, refine=False))
@@ -321,12 +343,12 @@ def recorded_bounds(monkeypatch, calls):
     seen = []
     make = achievable._df_bounds
 
-    def bounds_of(template, splits, n2):
-        fn = make(template, splits, n2)
+    def bounds_of(template, grid):
+        fn = make(template, grid)
 
         def record(duals):
             out = fn(duals)
-            seen[-1].append((template, splits, fn, list(duals), out))
+            seen[-1].append((template, grid.splits, fn, list(duals), out))
             return out
         return record
 
@@ -354,8 +376,8 @@ def df_stage_events(monkeypatch, calls):
         stages.append([])
         return best(*args)
 
-    def bounds_of(template, splits, n2):
-        fn = make(template, splits, n2)
+    def bounds_of(template, grid):
+        fn = make(template, grid)
 
         def record(duals):
             stages[-1].append("bounds")
@@ -395,7 +417,7 @@ class TestSixStateDfBounds:
         for p in rng.choice(len(pairs), 1200):
             preset, template, splits, fn, y = pairs[p]
             i = int(rng.integers(len(splits)))
-            lp = template.with_matrix(achievable._with_splits(template, [splits[i]])[0])
+            lp = achievable._split_program(template, splits[i])
             got, want = fn([y])[i], exact_df_bound(lp, y)
             if not got >= want:
                 short.append((p, i, got, float(want)))
@@ -415,8 +437,8 @@ class TestSixStateDfBounds:
         for template, splits, _, _, out in sum(recorded_bounds(monkeypatch, calls), []):
             key = id(splits)
             if key not in cold:
-                mats = achievable._with_splits(template, splits)
-                cold[key] = np.array([solve_lp(template.with_matrix(mat)).x[0] for mat in mats])
+                cold[key] = np.array([solve_lp(achievable._split_program(template, split)).x[0]
+                                      for split in splits])
             if (cold[key] > out * (1.0 + achievable._DF_READ_RTOL)).any():
                 over.append((template.matrix[0, 0], np.nonzero(cold[key] > out)[0]))
         assert over == []
@@ -424,9 +446,9 @@ class TestSixStateDfBounds:
     def test_dual_that_is_not_finite_prunes_nothing(self, case_a):
         template = achievable.ray_programs(achievable._df_matrix(case_a))(1.0)
         axis = np.linspace(0.0, 1.0, 9)
-        splits = achievable._df_splits(case_a, axis, axis)
-        bounds = achievable._df_bounds(template, splits, 9)
-        y = solve_lp(template.with_matrix(achievable._with_splits(template, splits[40:41])[0])).duals
+        grid = achievable._df_grid(template.matrix, case_a, axis, axis)
+        bounds = achievable._df_bounds(template, grid)
+        y = solve_lp(achievable._split_program(template, grid.splits[40])).duals
         assert np.isfinite(bounds([y])).all()
         for bad in (math.nan, math.inf, -math.inf):
             for row in (3, len(y) - 1):

@@ -489,8 +489,8 @@ def certificate_reads(case_a, case_c, low_snr):
                 yield from ((program(ray), basis) for ray in rays)
         template = achievable.ray_programs(achievable._df_matrix(gains))(0.3)
         axis = np.linspace(0.0, 1.0, 9)
-        programs = [template.with_matrix(mat) for mat in achievable._with_splits(
-            template, achievable._df_splits(gains, axis, axis))]
+        programs = [achievable._split_program(template, split)
+                    for split in achievable._df_splits(gains, axis, axis)]
         for i in (0, 40, 80):
             basis = solve_lp(programs[i]).basis
             yield from ((lp, basis) for lp in programs)
@@ -534,7 +534,7 @@ def test_certificate_refuses_singular_members_alone(case_a):
     template = achievable.ray_programs(achievable._df_matrix(case_a))(1.0)
     axis = np.linspace(0.0, 1.0, 9)
     splits = achievable._df_splits(case_a, axis, axis)
-    programs = [template.with_matrix(mat) for mat in achievable._with_splits(template, splits)]
+    programs = [achievable._split_program(template, split) for split in splits]
     basis = solve_lp(programs[40]).basis
     zero_row = [not standardized_basis_matrix(lp, basis).any(axis=1).all() for lp in programs]
     assert 0 < sum(zero_row) < len(programs)
