@@ -67,9 +67,9 @@ def _analytic_point(k: float, gains: ChannelGains):
 # the only list of ids.  An LP family's factory states the channel's system and
 # builds its program once, so a ray only ties column 0, derives its program,
 # solves it and expands the shares.  Six-state DF states its channel once too,
-# with its power-split grid and bound tables, and a ray searches the splits on
-# its tied program.  A factory looks its functions up when called, so a
-# rebound module attribute takes effect.
+# with its seed power-split columns, and a ray prices new splits into its
+# master LP on its tied program.  A factory looks its functions up when
+# called, so a rebound module attribute takes effect.
 _EVALUATORS = {
     "outer": lambda g, a: outer_evaluator(g),
     "outer-analytic": lambda g, a: lambda k: _analytic_point(k, g),
@@ -92,8 +92,9 @@ def protocol_evaluator(name: str, gains: ChannelGains, alpha_grid: int = 33):
     return _EVALUATORS[name](gains, alpha_grid)
 
 
-# largest accepted sweep sizes: a 0.025-degree ray grid, a 257x257 DF
-# power-split grid (66,049 LPs per ray) and a 0.001-dB threshold grid over 100 dB
+# largest accepted sweep sizes: a 0.025-degree ray grid, 257 DF seed power
+# splits a broadcast state (a master LP of 531 columns) and a 0.001-dB
+# threshold grid over 100 dB
 MAX_THETA_POINTS = 3601
 MAX_ALPHA_GRID = 257
 MAX_GAMMA2_POINTS = 100_001

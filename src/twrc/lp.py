@@ -17,23 +17,21 @@ tableau, purges the artificial variables left at zero from the basis
 from the final tableau; ``_pivot`` is the one pivot step of the simplex and
 the purge.
 
-A known basis can stand in for the simplex.  ``certify`` reads one basis on
-one program: it inverts the basis matrix B once and returns the vertex, the
-duals, the reduced costs and whether the vertex is feasible, or None for a
-basis it cannot use.  The six-state DF search rates a power split from a
-held basis where the cold simplex would stop there (``Certificate.optimal``).
-``solve_lp(lp, basis)`` takes an earlier solution's basis (in a sweep, the
-previous ray's, which stays optimal everywhere but at the region's few
-vertices) only where ``_reused`` finds it the unique optimum.  An accepted
-basis gives the point, value and duals without pivoting; they match the
-cold solve to round-off, within 1e-12 relative on every preset ray, but not
-bit for bit.  Otherwise the program is solved cold, exactly as without a
+A known basis can stand in for the simplex.  ``solve_lp(lp, basis)`` takes
+an earlier solution's basis (in a sweep, the previous ray's, which stays
+optimal everywhere but at the region's few vertices) only where ``_reused``
+finds it the unique optimum.  ``certify`` is that read: it inverts the basis
+matrix B once and returns the vertex, the duals, the reduced costs and
+whether the vertex is feasible, or None for a basis it cannot use.  An
+accepted basis gives the point, value and duals without pivoting; they match
+the cold solve to round-off, within 1e-12 relative on every preset ray, but
+not bit for bit.  Otherwise the program is solved cold, exactly as without a
 basis.
 
 Programs that differ only in their matrix share the rest of their set-up.
 ``LinearProgram.with_matrix`` derives such a program from a validated one,
 checking only the new matrix, so a sweep builds one program per channel and
-derives one per ray (and six-state DF one per power split it rates).
+derives one per ray.
 The part of the phase-1 start that the matrix does not touch (the slack,
 artificial and rhs entries, the phase-1 cost and the feasibility limit) is
 built once per (bounds, relations, rhs) and cached (``_start``): a solve
@@ -137,8 +135,8 @@ class LinearProgram:
         Only the new matrix is checked, for this program's shape and finite
         entries; every other field is this program's, validated once and
         shared.  It solves bit for bit as a freshly built equal program.  A
-        sweep derives each ray's program this way, and six-state DF each
-        power split's program that it solves.
+        sweep derives each ray's program this way, and six-state DF the
+        program of a power split it solves alone.
         """
         lp = object.__new__(LinearProgram)
         lp.__dict__.update(self.__dict__, matrix=_checked(matrix, self.matrix.shape))
@@ -285,7 +283,7 @@ class Certificate(NamedTuple):
     the reduced costs of the standardized columns before the artificial
     ones, -inf on the basic columns.  The basis is the program's unique
     optimum when it is ``feasible`` and every reduced cost is below
-    ``-_COST_TOL``.
+    ``-_COST_TOL`` (``_reused``).
     """
 
     x: np.ndarray
@@ -293,27 +291,23 @@ class Certificate(NamedTuple):
     reduced: np.ndarray
     feasible: bool
 
-    def optimal(self) -> bool:
-        """Whether the cold simplex would stop at this basis: it is feasible
-        and no reduced cost exceeds ``_COST_TOL``."""
-        return self.feasible and bool((self.reduced <= _COST_TOL).all())
-
 
 def certify(lp: LinearProgram, basis: tuple[int, ...]) -> Certificate | None:
     """``basis`` read on ``lp`` without pivoting; None if it is unusable.
 
-    The standardized program is the cold solve's start (``_start``) with
-    the matrix columns filled in, and what the read needs that the matrix
-    does not change is cached per program fields and basis (``_held``).  The
-    basis must be full size and hold no artificial column, and its matrix B
-    must be regular with a finite inverse.  B is inverted once, giving the
-    vertex x_B = B^-1 b and the multipliers y = c_B B^-1.  x_B is clipped at
-    0, and so is an entry below ``_EPS`` (2^-52) times its largest: the
-    round-off of a basic variable at a degenerate 0, which would fail a row
-    of its own, such as TDBC's lam3 = 0.  The vertex is feasible if it meets
-    every row to within ``_REUSE_TOL`` of that row's size, |B x_B - b| <=
-    ``_REUSE_TOL`` (|B| x_B + |b|): the row test on the whole standardized
-    matrix, as the vertex is zero off the basis.
+    This is ``_reused``'s read of a held basis, such as the previous ray's
+    in a sweep.  The standardized program is the cold solve's start
+    (``_start``) with the matrix columns filled in, and what the read needs
+    that the matrix does not change is cached per program fields and basis
+    (``_held``).  The basis must be full size and hold no artificial column,
+    and its matrix B must be regular with a finite inverse.  B is inverted
+    once, giving the vertex x_B = B^-1 b and the multipliers y = c_B B^-1.
+    x_B is clipped at 0, and so is an entry below ``_EPS`` (2^-52) times its
+    largest: the round-off of a basic variable at a degenerate 0, which would
+    fail a row of its own, such as TDBC's lam3 = 0.  The vertex is feasible
+    if it meets every row to within ``_REUSE_TOL`` of that row's size,
+    |B x_B - b| <= ``_REUSE_TOL`` (|B| x_B + |b|): the row test on the whole
+    standardized matrix, as the vertex is zero off the basis.
     """
     held = _held(lp.bounds, lp.relations, lp.rhs.tobytes(), lp.objective.tobytes(), lp.sense,
                  tuple(basis))  # a list basis, as read back from JSON, too

@@ -1,6 +1,5 @@
 import collections
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -178,34 +177,6 @@ class TestSixStateDf:
         assert refined.rb >= coarse.rb - 1e-12
 
 
-def df_point_by_point(k, gains, alpha_grid=33, refine=True):
-    """The DF grid search one LP at a time, in grid order (the stacked
-    search must reproduce it exactly).  Each stage keeps the first point whose
-    rate is within 1e-12 relative of the stage's largest; the refinement
-    replaces it only with a rate larger by more than that."""
-    if gains.gamma3 == 0.0:
-        return _df_point(k, gains, 1.0, 1.0)
-
-    def rate(p):  # the rate the ray-tied program maximizes
-        return p.rb if k <= 1.0 else p.ra
-
-    def stage(axis1, axis2):
-        points = [_df_point(k, gains, float(a1), float(a2)) for a1 in axis1 for a2 in axis2]
-        top = max(rate(p) for p in points)
-        return next(p for p in points if top - rate(p) <= 1e-12 * top)
-
-    axis = np.linspace(0.0, 1.0, alpha_grid)
-    best = stage(axis, axis)
-    if refine:
-        radius = 1.0 / (alpha_grid - 1)
-        b1, b2 = best.power_split.alpha1, best.power_split.alpha2
-        fine = stage(np.linspace(max(0.0, b1 - radius), min(1.0, b1 + radius), 9),
-                     np.linspace(max(0.0, b2 - radius), min(1.0, b2 + radius), 9))
-        if rate(fine) - rate(best) > 1e-12 * rate(best):
-            best = fine
-    return best
-
-
 def df_outcome(fn, *args, **kwargs):
     """A DF result as exact bits, or the exception's type and message."""
     try:
@@ -217,20 +188,28 @@ def df_outcome(fn, *args, **kwargs):
             p.power_split.alpha1.hex(), p.power_split.alpha2.hex())
 
 
-def df_highs_search(k, gains, alpha_grid):
-    """The DF grid search (grid, then refinement, with the near-tie rule) on
-    HiGHS's optimum of ``paper_df_system`` at each split; returns the rate
-    the ray program maximizes (Rb for k <= 1, else Ra)."""
-    def rate(a1, a2):
-        A, rel, rhs = paper_df_system(gains, a1, a2)
-        c = np.abs(A[:-1, 2:8]).max()  # capacities in units of the largest, as in df_off_highs
-        scaled = A.copy()
-        scaled[:-1, 2:8] /= c
-        rb = highs_ray_rate(scaled, rel, rhs, k)[0] * c
-        return rb if k <= 1.0 else k * rb
+def df_highs_rate(k, gains, alpha1, alpha2):
+    """HiGHS's optimum of ``paper_df_system`` at the split (alpha1, alpha2):
+    the rate the ray program maximizes (Rb for k <= 1, else Ra).  The
+    capacities are in units of the largest, as in df_off_highs; the Ra axis
+    (k = inf) is the Rb axis (k = 0) with the two rates' columns swapped."""
+    A, rel, rhs = paper_df_system(gains, alpha1, alpha2)
+    c = np.abs(A[:-1, 2:8]).max()
+    scaled = A.copy()
+    scaled[:-1, 2:8] /= c
+    if math.isinf(k):
+        return highs_ray_rate(scaled[:, [1, 0, *range(2, A.shape[1])]], rel, rhs, 0.0)[0] * c
+    rb = highs_ray_rate(scaled, rel, rhs, k)[0] * c
+    return rb if k <= 1.0 else k * rb
 
+
+def df_highs_search(k, gains, alpha_grid):
+    """The DF grid search (grid, then a 9x9 refinement one spacing around its
+    pick, with a near-tie rule) on HiGHS's optimum of ``paper_df_system`` at
+    each split; returns the rate the ray program maximizes."""
     def stage(axis1, axis2):
-        points = [(rate(a1, a2), a1, a2) for a1 in map(float, axis1) for a2 in map(float, axis2)]
+        points = [(df_highs_rate(k, gains, a1, a2), a1, a2)
+                  for a1 in map(float, axis1) for a2 in map(float, axis2)]
         top = max(p[0] for p in points)
         return next(p for p in points if top - p[0] <= 1e-12 * top)
 
@@ -240,55 +219,83 @@ def df_highs_search(k, gains, alpha_grid):
     return (fine if fine[0] - best[0] > 1e-12 * best[0] else best)[0]
 
 
-class TestSixStateDfStacked:
-    @pytest.mark.parametrize("preset", sorted(PRESETS))
-    def test_presets_match_point_by_point(self, preset):
-        gains = preset_scenario(preset).gains()
-        for k in (*(k for _, k in ray_grid(3)), 0.3):
-            assert (df_outcome(six_state_df_boundary, k, gains, alpha_grid=9)
-                    == df_outcome(df_point_by_point, k, gains, alpha_grid=9))
+def df_rate(k, p):
+    """The rate a DF point's ray program maximizes."""
+    return p.rb if k <= 1.0 else p.ra
 
-    @pytest.mark.parametrize("preset, solves",
-                             [("case-a", 16), ("case-b", 21), ("case-c", 22), ("low-snr", 10)])
-    def test_preset_cold_solves(self, monkeypatch, preset, solves):
-        # the cold solves over ray_grid(3) at grid 9, which repeat exactly
-        gains = preset_scenario(preset).gains()
-        stages = df_stage_events(monkeypatch, [(k, gains, dict(alpha_grid=9))
-                                               for _, k in ray_grid(3)])
-        assert sum(events.count("solve") for events in stages) == solves
 
-    def test_grid_33_matches_point_by_point(self, case_c):
-        # case-c's symmetric ray takes the most certificate rounds at grid 33
-        assert (df_outcome(six_state_df_boundary, 1.0, case_c, alpha_grid=33)
-                == df_outcome(df_point_by_point, 1.0, case_c, alpha_grid=33))
+def df_off_its_split(k, gains, p):
+    """(k, rate, HiGHS's rate) if the DF point ``p`` is off HiGHS's optimum
+    at its own power split by more than 1e-9 relative, else None."""
+    ref = df_highs_rate(k, gains, p.power_split.alpha1, p.power_split.alpha2)
+    rate = df_rate(k, p)
+    return None if abs(rate - ref) <= 1e-9 * ref else (k, rate, ref)
 
-    def test_random_channels_match_point_by_point(self):
-        # bit for bit, except where the point-by-point search raises or is
-        # farther from HiGHS's search than the stacked one, which is within
-        # 1e-9 of it: four of the 100 calls, all at gamma3 = 1e-12*gamma1
-        rng = np.random.default_rng(2026)
-        ks = (0.0, 1.0, math.inf, 1e6)
-        changed = []
-        for i in range(50):
-            g2 = db_to_linear(rng.uniform(-50.0, 70.0))
-            g1 = g2 * db_to_linear(-rng.uniform(0.0, 20.0))
-            k = ks[i % 4] if i % 5 else float(rng.uniform(0.0, 5.0))
-            for g3 in (0.0, 1e-12 * g1):
-                gains = validate_gains(g1, g2, g3)
-                got = df_outcome(six_state_df_boundary, k, gains, alpha_grid=3)
-                want = df_outcome(df_point_by_point, k, gains, alpha_grid=3)
-                if got == want:
+
+# the channel on which the grid search raised on 18 of a 31-point sweep's 33
+# rays at grids 3 and 33: gamma3 = 1e-12*gamma1 at high SNR
+TIED_SHARES_DB = (40.1, 49.1, -79.9)
+
+
+class TestSixStateDfColumnGeneration:
+    @pytest.mark.parametrize("grid", [3, 9, 33])
+    def test_presets_match_highs_at_their_split(self, grid):
+        off = []
+        for name in sorted(PRESETS):
+            gains = preset_scenario(name).gains()
+            evaluate = achievable.df_evaluator(gains, grid)
+            off += [(name, case) for _, k in ray_grid(31)
+                    if (case := df_off_its_split(k, gains, evaluate(k))) is not None]
+        assert off == []
+
+    def test_wide_channels_match_highs_at_their_split(self):
+        # gamma3 = 0 and 1e-12*gamma1 among them.  Channel 3, (-33.5, -14.2,
+        # -61.1) dB, is 7.6e-7 and 5.9e-7 above HiGHS at k = 0 and 0.3: its
+        # split's program solved alone is off alike, as the simplex stops on
+        # a basis that is not exactly optimal (ROADMAP item 2)
+        channels = [(i, g) for i, g in enumerate(wide_channels(np.random.default_rng(2026), 40))
+                    if g.gamma2 >= db_to_linear(-20.0)][:20]
+        assert len(channels) == 20
+        off, simplex = [], []
+        for i, g in channels:
+            evaluate = achievable.df_evaluator(g)
+            for k in WIDE_KS:
+                p = evaluate(k)
+                case = df_off_its_split(k, g, p)
+                if case is None:
                     continue
-                ref = df_highs_search(k, gains, 3)
-                rate = float.fromhex(got[0] if k > 1.0 else got[1])
-                assert abs(rate - ref) <= 1e-9 * ref, (i, k, rate, ref)
-                if want[0] is not SolverError:
-                    old = float.fromhex(want[0] if k > 1.0 else want[1])
-                    assert abs(old - ref) > abs(rate - ref), (i, k, old, rate, ref)
-                changed.append((i, k))
-        assert changed == [(3, 1e6), (19, 1e6), (33, 1.0), (47, 1e6)]
+                alone = _df_point(k, g, p.power_split.alpha1, p.power_split.alpha2)
+                if df_off_its_split(k, g, alone) is not None:
+                    simplex.append((i, k))
+                else:
+                    off.append((i, case))
+        assert off == []
+        assert simplex == [(3, 0.0), (3, 0.3)]
 
-    def test_a_sweep_returns_what_lone_calls_return(self, monkeypatch):
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_no_rate_below_the_highs_grid_search(self, preset):
+        # the master holds every grid-9 split and pricing finds splits off
+        # the grid, so no ray falls short of the grid-9 search on HiGHS
+        gains = preset_scenario(preset).gains()
+        short = []
+        for _, k in ray_grid(3):
+            rate = df_rate(k, six_state_df_boundary(k, gains, alpha_grid=9))
+            ref = df_highs_search(k, gains, 9)
+            if rate < ref * (1.0 - 1e-9):
+                short.append((k, rate, ref))
+        assert short == []
+
+    @pytest.mark.parametrize("grid", [3, 33])
+    def test_tied_shares_channel_returns_every_ray(self, grid):
+        gains = validate_gains(*(db_to_linear(v) for v in TIED_SHARES_DB))
+        evaluate = achievable.df_evaluator(gains, grid)
+        off = [case for _, k in ray_grid(31)
+               if (case := df_off_its_split(k, gains, evaluate(k))) is not None]
+        assert off == []
+
+
+class TestSixStateDfStacked:
+    def test_a_sweep_returns_what_lone_calls_return(self):
         # one df_evaluator swept over the rays returns each point (or error)
         # bit for bit as a fresh evaluator per ray does: on the presets along
         # ray_grid(31) at grids 9 and 33, and on wide channels (gamma3 = 0
@@ -298,235 +305,14 @@ class TestSixStateDfStacked:
                  for p in sorted(PRESETS) for grid in (9, 33)]
         cases += [(g, dict(alpha_grid=3, refine=False), WIDE_KS)
                   for g in wide_channels(np.random.default_rng(2026), 40)[:20]]
-        make = achievable._df_grid
-        grids = []
-        monkeypatch.setattr(achievable, "_df_grid", lambda *args: grids.append(1) or make(*args))
         for g, kwargs, ks in cases:
             evaluate = achievable.df_evaluator(g, **kwargs)
-            grids.clear()
             swept = [df_outcome(evaluate, k) for k in ks]
-            # a refinement grid is built once per coarse pick, not once per ray
-            assert len(grids) < len(ks) or not kwargs.get("refine", True)
             assert swept == [df_outcome(lambda k: achievable.df_evaluator(g, **kwargs)(k), k)
                              for k in ks], (g, kwargs)
 
-    def test_grid_spanning_several_chunks(self, case_b):
-        assert (df_outcome(six_state_df_boundary, 0.7, case_b, alpha_grid=17, refine=False)
-                == df_outcome(df_point_by_point, 0.7, case_b, alpha_grid=17, refine=False))
-
-
-def exact_df_bound(lp, y):
-    """The weak-duality bound of the dual ``y`` on the ray-tied DF program
-    ``lp`` in exact arithmetic: with y clipped to y >= 0 on the <= rows and
-    d = c - A^T y, the budget row's y plus the largest, over the states s, of
-    d_lam_s + sum over the state's flows f of (d_f^+, plus d_R^+ if f makes up
-    the rate row whose R entry is 1) times f's smallest cap in its <= rows."""
-    A, m, n = lp.matrix, lp.n_rows, lp.n_vars
-    names = achievable._DF_COLUMNS[1:]  # column 0 is R, then lam1..lam6 and the flows
-    y = [Fraction(max(v, 0.0) if rel == "<=" else v) for v, rel in zip(y, lp.relations)]
-    d = [Fraction(lp.objective[j]) - sum(Fraction(A[i, j]) * y[i] for i in range(m))
-         for j in range(n)]
-    source = 0 if A[0, 0] == 1.0 else 1
-    term = {s: d[s] for s in range(1, 7)}
-    for f in range(7, n):
-        s = int(names[f][-1])
-        caps = [-Fraction(A[i, s]) for i in range(m) if lp.relations[i] == "<=" and A[i, f] == 1.0]
-        weight = max(d[f], 0) + (max(d[0], 0) if A[source, f] == -1.0 else 0)
-        term[s] += weight * min(caps)
-    return y[m - 1] + max(term.values())
-
-
-def recorded_bounds(monkeypatch, calls):
-    """Run six_state_df_boundary on each (k, gains, kwargs) of ``calls``;
-    per call, every bound the search computes: (template, splits, the
-    stage's bound function, the duals, the bounds)."""
-    seen = []
-    make = achievable._df_bounds
-
-    def bounds_of(template, grid):
-        fn = make(template, grid)
-
-        def record(duals):
-            out = fn(duals)
-            seen[-1].append((template, grid.splits, fn, list(duals), out))
-            return out
-        return record
-
-    monkeypatch.setattr(achievable, "_df_bounds", bounds_of)
-    for k, gains, kwargs in calls:
-        seen.append([])
-        try:
-            six_state_df_boundary(k, gains, **kwargs)
-        except SolverError:
-            pass
-    return seen
-
-
-def df_stage_events(monkeypatch, calls):
-    """Run six_state_df_boundary on each (k, gains, kwargs) of ``calls``; per
-    grid stage (one ``_df_best`` call), its events in order: "bounds" for
-    each bound evaluation, ("certify", split, basis) for each basis read on
-    a split (the split as its program's matrix bytes) and "solve" for each
-    cold solve."""
-    stages = []
-    best, make = achievable._df_best, achievable._df_bounds
-    read, solve = achievable.certify, achievable._solve_split
-
-    def stage(*args):
-        stages.append([])
-        return best(*args)
-
-    def bounds_of(template, grid):
-        fn = make(template, grid)
-
-        def record(duals):
-            stages[-1].append("bounds")
-            return fn(duals)
-        return record
-
-    def certify(lp, basis):
-        stages[-1].append(("certify", lp.matrix.tobytes(), basis))
-        return read(lp, basis)
-
-    def solve_split(*args):
-        stages[-1].append("solve")
-        return solve(*args)
-
-    for name, fn in (("_df_best", stage), ("_df_bounds", bounds_of), ("certify", certify),
-                     ("_solve_split", solve_split)):
-        monkeypatch.setattr(achievable, name, fn)
-    for k, gains, kwargs in calls:
-        six_state_df_boundary(k, gains, **kwargs)
-    return stages
-
 
 class TestSixStateDfBounds:
-    def test_float_bound_is_safe_in_exact_arithmetic(self, monkeypatch):
-        # every float bound is at least the exact bound of its dual, on 1,200
-        # (dual, split) pairs the search meets on the presets and on wide
-        # channels; on the presets it is above it by a few ulps only
-        calls = [(k, preset_scenario(name).gains(), dict(alpha_grid=9))
-                 for name in sorted(PRESETS) for _, k in ray_grid(3)]
-        calls += [(k, g, dict(alpha_grid=3, refine=False))
-                  for g in wide_channels(np.random.default_rng(2026), 60) for k in (0.3, 1.0, 1e6)]
-        pairs = [(c < 20, template, splits, fn, y)
-                 for c, seen in enumerate(recorded_bounds(monkeypatch, calls))
-                 for template, splits, fn, duals, _ in seen for y in duals]
-        rng = np.random.default_rng(15)
-        short, slack = [], []
-        for p in rng.choice(len(pairs), 1200):
-            preset, template, splits, fn, y = pairs[p]
-            i = int(rng.integers(len(splits)))
-            lp = achievable._split_program(template, splits[i])
-            got, want = fn([y])[i], exact_df_bound(lp, y)
-            if not got >= want:
-                short.append((p, i, got, float(want)))
-            elif preset:
-                slack.append((Fraction(got) - want) / want)
-        assert short == []
-        assert len(slack) > 200 and max(slack) < 1e-14
-
-    def test_no_cold_rate_exceeds_a_bound(self, monkeypatch):
-        # on the presets at grids 9 and 33, no split's cold rate is above a
-        # bound computed on it by more than the _DF_READ_RTOL the search
-        # allows for a cold solve's round-off (some are up to 2.3e-14 above)
-        calls = [(k, preset_scenario(name).gains(), dict(alpha_grid=grid))
-                 for name in sorted(PRESETS) for grid in (9, 33) for _, k in ray_grid(3)]
-        cold = {}
-        over = []
-        for template, splits, _, _, out in sum(recorded_bounds(monkeypatch, calls), []):
-            key = id(splits)
-            if key not in cold:
-                cold[key] = np.array([solve_lp(achievable._split_program(template, split)).x[0]
-                                      for split in splits])
-            if (cold[key] > out * (1.0 + achievable._DF_READ_RTOL)).any():
-                over.append((template.matrix[0, 0], np.nonzero(cold[key] > out)[0]))
-        assert over == []
-
-    def test_dual_that_is_not_finite_prunes_nothing(self, case_a):
-        template = achievable.ray_programs(achievable._df_matrix(case_a))(1.0)
-        axis = np.linspace(0.0, 1.0, 9)
-        grid = achievable._df_grid(template.matrix, case_a, axis, axis)
-        bounds = achievable._df_bounds(template, grid)
-        y = solve_lp(achievable._split_program(template, grid.splits[40])).duals
-        assert np.isfinite(bounds([y])).all()
-        for bad in (math.nan, math.inf, -math.inf):
-            for row in (3, len(y) - 1):
-                z = y.copy()
-                z[row] = bad
-                assert (bounds([z]) == math.inf).all()
-                assert np.array_equal(bounds([z, y]), bounds([y]))
-        assert (bounds([]) == math.inf).all()
-
-    @pytest.mark.parametrize("preset", ["case-b", "low-snr"])
-    def test_bound_below_a_rate_never_lowers_it(self, monkeypatch, preset):
-        # with every bound halved, so that a rated split's rate lies above a
-        # bound on it, the search still keeps the point-by-point split
-        make = achievable._df_bounds
-        monkeypatch.setattr(achievable, "_df_bounds",
-                            lambda *args: (lambda duals: 0.5 * make(*args)(duals)))
-        gains = preset_scenario(preset).gains()
-        for _, k in ray_grid(3):
-            assert (df_outcome(six_state_df_boundary, k, gains, alpha_grid=9)
-                    == df_outcome(df_point_by_point, k, gains, alpha_grid=9))
-
-    def test_refinement_that_cannot_beat_the_coarse_pick_rates_nothing(self, monkeypatch,
-                                                                       case_a):
-        # on case-a at grid 9, the bounds the coarse stage leaves prove on three
-        # of ray_grid(3)'s five rays that no refinement split beats its pick,
-        # so the refinement neither reads a basis nor solves a split there
-        stages = []  # per grid stage, its certificate reads and cold solves
-
-        def counted(name, fn):
-            def call(*args):
-                stages[-1][name] += 1
-                return fn(*args)
-            monkeypatch.setattr(achievable, name, call)
-
-        def stage(*args):
-            stages.append(collections.Counter())
-            return best(*args)
-
-        best = achievable._df_best
-        counted("certify", achievable.certify)
-        counted("_solve_split", achievable._solve_split)
-        monkeypatch.setattr(achievable, "_df_best", stage)
-        idle = []
-        for _, k in ray_grid(3):
-            stages.clear()
-            six_state_df_boundary(k, case_a, alpha_grid=9)
-            coarse, fine = stages
-            assert coarse["_solve_split"] > 0
-            if not fine:
-                idle.append(k)
-        assert idle == [1.0, ray_grid(3)[3][1], math.inf]
-        assert round(idle[1], 1) == 114.6
-
-    def test_batch_cold_solves_one_split_and_reads_each_basis_once(self, monkeypatch):
-        # on the presets at grids 9 and 33, a stage reads each held basis on
-        # a split at most once, a split that returns to a batch only on the
-        # bases added since, and a stage that trusts its bounds cold-solves
-        # at most one split between two bound evaluations
-        calls = [(k, preset_scenario(name).gains(), dict(alpha_grid=grid))
-                 for name in sorted(PRESETS) for grid in (9, 33) for _, k in ray_grid(3)]
-        twice, crowded, returned, between = [], [], 0, 0
-        for s, events in enumerate(df_stage_events(monkeypatch, calls)):
-            reads = [e for e in events if isinstance(e, tuple)]
-            twice += [(s, e[2]) for e, n in collections.Counter(reads).items() if n > 1]
-            segments = [[]]
-            for e in events:
-                if e == "bounds":
-                    segments.append([])
-                else:
-                    segments[-1].append(e)
-            crowded += [s for seg in segments[1:-1] if seg.count("solve") > 1]
-            between += sum(seg.count("solve") for seg in segments[1:-1])
-            batches = collections.Counter(split for seg in segments
-                                          for split in {e[1] for e in seg if isinstance(e, tuple)})
-            returned += sum(n > 1 for n in batches.values())
-        assert twice == [] and crowded == []
-        assert returned > 0 and between > 0  # splits do return; solves do fall between
-
     @pytest.mark.parametrize("grid", [3.0, 2.5, math.nan, "9", None])
     def test_alpha_grid_must_be_an_integer(self, case_a, grid):
         with pytest.raises(ValidationError, match="alpha_grid must be an integer"):
