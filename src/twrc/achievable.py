@@ -27,7 +27,7 @@ from .core import (
     ray_rates,
     tie_ray,
 )
-from .lp import LinearProgram, LpSolution, SolverError, solve_lp
+from .lp import LinearProgram, LpSolution, SolverError, resume_lp, solve_lp
 
 # per-protocol information flows: (source, destination, state) -> rate
 FlowVars = dict[tuple[str, str, int], float]
@@ -333,7 +333,9 @@ def df_evaluator(gains: ChannelGains, alpha_grid: int = 33,
     y_r c_r(alpha) + y_d c_d(alpha) - y_b, and as c_d(alpha) = cap(gamma3) -
     log2(1 + alpha gamma3) its one stationary point is alpha* = (y_r gamma -
     y_d gamma3) / (gamma gamma3 (y_d - y_r)), so pricing takes the best of
-    0, 1 and alpha* when that lies in (0, 1).  Each ray starts from the seed
+    0, 1 and alpha* when that lies in (0, 1).  A new column leaves the last
+    master's optimal basis feasible, so each master after a ray's first
+    resumes phase 2 from it (``resume_lp``).  Each ray starts from the seed
     columns and holds nothing of another ray, so a swept ray returns what a
     lone call returns, bit for bit.
     """
@@ -376,26 +378,33 @@ def df_evaluator(gains: ChannelGains, alpha_grid: int = 33,
     def point(k: float) -> BoundaryPoint:
         template = program(k)
         base = template.matrix.take(_DF_MASTER_BASE, axis=1)
+        m = base.shape[1]
         alphas, blocks = [list(seeds), list(seeds)], list(seeded)
+        basis = ()
         for n in range(1, _CG_MAX + 1):
             matrix = np.hstack([base] + blocks)
             objective = np.zeros(matrix.shape[1])
             objective[0] = 1.0
-            sol = solve_lp(LinearProgram(objective=objective, matrix=matrix,
-                                         relations=template.relations, rhs=template.rhs))
+            master = LinearProgram(objective=objective, matrix=matrix,
+                                   relations=template.relations, rhs=template.rhs)
+            sol = resume_lp(master, basis) if basis else solve_lp(master)
             x = lp_optimum(sol)
             if not refine or n == _CG_MAX:
                 break
-            added = False
+            basis, added = sol.basis, False
             for s in (0, 1):
                 reduced, alpha = price(s, sol.duals)
                 if reduced > _CG_TOL * x[0] and alpha not in alphas[s]:
+                    # the column goes after the state's last: the columns
+                    # after it, and the slacks, shift right in the basis
+                    at = m + len(alphas[0]) + s * len(alphas[1])
+                    basis = tuple(j + (j >= at) for j in basis)
                     alphas[s].append(alpha)
                     blocks[s] = np.column_stack([blocks[s], column(s, alpha)])
                     added = True
             if not added:
                 break
-        m, n1 = base.shape[1], len(alphas[0])
+        n1 = len(alphas[0])
         shares = x[m:m + n1], x[m + n1:]
         carry = [[a for a, v in zip(alphas[s], shares[s]) if v > 0.0] or alphas[s][:1]
                  for s in (0, 1)]

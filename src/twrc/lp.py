@@ -11,22 +11,27 @@ non-negative, non-positive or free (no box bounds), so the rewrite to
 non-negative variables only negates and splits columns and every program
 keeps its own rhs.
 
-One solve routine, ``_solve``, runs both phases on a program's own (m, w)
-tableau, purges the artificial variables left at zero from the basis
-(dropping the rows that turn out redundant) and reads the point and the duals
-from the final tableau; ``_pivot`` is the one pivot step of the simplex and
-the purge.
+The cold solve, ``_solve``, runs phase 1 on a program's own (m, w) tableau
+and purges the artificial variables left at zero from the basis (dropping
+the rows that turn out redundant); ``_phase2`` then runs phase 2 and reads
+the point, the duals and the sorted basis from the final tableau.
+``_pivot`` is the one pivot step of the simplex and the purge.
 
-A known basis can stand in for the simplex.  ``solve_lp(lp, basis)`` takes
-an earlier solution's basis (in a sweep, the previous ray's, which stays
-optimal everywhere but at the region's few vertices) only where ``_reused``
-finds it the unique optimum.  ``certify`` is that read: it inverts the basis
-matrix B once and returns the vertex, the duals, the reduced costs and
-whether the vertex is feasible, or None for a basis it cannot use.  An
-accepted basis gives the point, value and duals without pivoting; they match
-the cold solve to round-off, within 1e-12 relative on every preset ray, but
-not bit for bit.  Otherwise the program is solved cold, exactly as without a
-basis.
+A known basis is read, resumed from, or set aside for a cold solve;
+``_inverse`` inverts its basis matrix B for the first two, and refuses a
+basis it cannot use.
+- Read: ``solve_lp(lp, basis)`` takes an earlier solution's basis (in a
+  sweep, the previous ray's, which stays optimal everywhere but at the
+  region's few vertices) only where ``_reused`` finds it the unique optimum.
+  ``certify`` is that read: the vertex, the duals, the reduced costs and
+  whether the vertex is feasible.  An accepted basis gives the point, value
+  and duals without pivoting; they match the cold solve to round-off,
+  within 1e-12 relative on every preset ray, but not bit for bit.
+- Resume: ``resume_lp(lp, basis)`` starts phase 2 from a basis whose vertex
+  is feasible, from the tableau B^-1 [A | b].  Column generation resumes
+  each master from the last master's optimal basis, which a new column
+  leaves feasible (``achievable.df_evaluator``).
+- Otherwise the program is solved cold, exactly as without a basis.
 
 Programs that differ only in their matrix share the rest of their set-up.
 ``LinearProgram.with_matrix`` derives such a program from a validated one,
@@ -39,6 +44,7 @@ copies it, fills in the matrix columns and builds its phase-2 cost.  What a
 basis read takes beyond that (the basis as an index array, the phase-2 cost,
 c_B, b, |b| and the duals' sign) is built once per program fields and basis
 and cached as well (``_held``): along a sweep, one entry per distinct basis.
+A resumed master builds it uncached, as no master's basis is read twice.
 """
 
 from __future__ import annotations
@@ -204,9 +210,8 @@ def _checked(matrix, shape: tuple[int, int]) -> np.ndarray:
 
 def _solve(lp: LinearProgram) -> LpSolution:
     """The two-phase simplex on ``lp``, from the slack and artificial basis."""
-    (var, sign, scale, s_j, s_k, s_sign, f_j, f_k, row_sign, ident_col, artificial,
-     block, cost1, limit, _) = _start(lp.bounds, lp.relations, lp.rhs.tobytes())
-    cost2 = _phase2_cost(lp.objective, lp.sense, var, sign, artificial.size)
+    start = _start(lp.bounds, lp.relations, lp.rhs.tobytes())
+    var, _, scale, *_, ident_col, artificial, block, cost1, limit, _ = start
     # the start tableau: the cached block, then the matrix columns of the rewrite
     table = block.copy()
     np.multiply(lp.matrix.take(var, axis=1), scale, out=table[:, :var.size])
@@ -220,8 +225,17 @@ def _solve(lp: LinearProgram) -> LpSolution:
             return _no_optimum(lp, "infeasible")
         keep = _purge(table, basis, artificial)
         table, basis = table[keep], basis[keep]
+    return _phase2(lp, start, table, basis)
 
-    # Phase 2: original objective, artificial columns barred from entering.
+
+def _phase2(lp: LinearProgram, start: tuple, table: np.ndarray, basis: np.ndarray) -> LpSolution:
+    """Phase 2 on ``lp``'s tableau ``table`` (``start`` is its ``_start``) from
+    the feasible ``basis``, then the read-out: the point, the duals and the
+    sorted basis.  The cold solve (``_solve``) and a resumed one
+    (``resume_lp``) both end here."""
+    var, sign, _, s_j, s_k, s_sign, f_j, f_k, row_sign, ident_col, artificial = start[:11]
+    cost2 = _phase2_cost(lp.objective, lp.sense, var, sign, artificial.size)
+    # the original objective, artificial columns barred from entering
     status = _simplex(table, basis, cost2, ~artificial)
     if status != "optimal":
         return _no_optimum(lp, status)
@@ -296,24 +310,72 @@ def certify(lp: LinearProgram, basis: tuple[int, ...]) -> Certificate | None:
     """``basis`` read on ``lp`` without pivoting; None if it is unusable.
 
     This is ``_reused``'s read of a held basis, such as the previous ray's
-    in a sweep.  The standardized program is the cold solve's start
-    (``_start``) with the matrix columns filled in, and what the read needs
-    that the matrix does not change is cached per program fields and basis
-    (``_held``).  The basis must be full size and hold no artificial column,
-    and its matrix B must be regular with a finite inverse.  B is inverted
-    once, giving the vertex x_B = B^-1 b and the multipliers y = c_B B^-1.
-    x_B is clipped at 0, and so is an entry below ``_EPS`` (2^-52) times its
-    largest: the round-off of a basic variable at a degenerate 0, which would
-    fail a row of its own, such as TDBC's lam3 = 0.  The vertex is feasible
-    if it meets every row to within ``_REUSE_TOL`` of that row's size,
-    |B x_B - b| <= ``_REUSE_TOL`` (|B| x_B + |b|): the row test on the whole
-    standardized matrix, as the vertex is zero off the basis.
+    in a sweep.  ``_inverse`` inverts the basis matrix B once and gives the
+    vertex x_B = B^-1 b, whether it is feasible, or None for a basis it
+    cannot use; the multipliers are y = c_B B^-1.
     """
     held = _held(lp.bounds, lp.relations, lp.rhs.tobytes(), lp.objective.tobytes(), lp.sense,
                  tuple(basis))  # a list basis, as read back from JSON, too
+    read = _inverse(lp, held)
+    if read is None:
+        return None
+    A, inv, xb, feasible = read
+    _, _, s_j, s_k, s_sign, f_j, f_k, start, idx, cost, c_b, _, _, dual_sign = held
+    y = c_b @ inv  # a row
+    reduced = cost - (y @ A[:, :cost.size])[0]
+    reduced[idx] = -_INF
+    u = np.zeros(start.shape[1])
+    u[idx] = xb[:, 0]
+    # each row's identity column is e_i, so y_i is its dual
+    return Certificate(_points(lp, u, s_j, s_k, s_sign, f_j, f_k), dual_sign * y[0], reduced,
+                       feasible)
+
+
+def resume_lp(lp: LinearProgram, basis: tuple[int, ...]) -> LpSolution:
+    """``lp`` solved by phase 2 from ``basis``, or cold where that basis is
+    unusable.
+
+    Column generation adds a column to its master LP each round, which
+    leaves the last master's optimal basis (mapped onto the new columns)
+    primal feasible: ``df_evaluator`` resumes each master from it.  The
+    basis must pass ``_inverse``'s checks and its vertex be feasible; then
+    phase 2 runs from the tableau B^-1 [A | b] and the solution is read as
+    a cold solve's (``_phase2``).  Otherwise the program is solved cold
+    (``_solve``), bit for bit.
+    """
+    held = _held.__wrapped__(lp.bounds, lp.relations, lp.rhs.tobytes(), lp.objective.tobytes(),
+                             lp.sense, tuple(basis))  # one master's basis is never read again
+    read = _inverse(lp, held)
+    if read is None or not read[-1]:  # unusable, or its vertex infeasible
+        return _solve(lp)
+    A, inv, xb, _ = read
+    idx = held[8]  # the basis as an array
+    table = np.empty((len(idx), A.shape[1] + 1))
+    np.matmul(inv, A, out=table[:, :-1])
+    table[:, idx] = np.eye(len(idx))  # the basic columns exactly, as a pivot leaves them
+    table[:, -1] = xb[:, 0]
+    return _phase2(lp, _start(lp.bounds, lp.relations, lp.rhs.tobytes()), table, idx.copy())
+
+
+def _inverse(lp: LinearProgram, held: tuple | None) -> tuple | None:
+    """The basis matrix B of ``held`` (``_held``) on ``lp``, inverted: (A,
+    B^-1, x_B, feasible), or None if the basis is unusable.
+
+    A is the standardized program, the cold solve's start (``_start``) with
+    the matrix columns filled in and without the rhs.  The basis must be full
+    size and hold no artificial column (else ``held`` is None), and B must
+    be regular with a finite inverse.  x_B = B^-1 b is clipped at 0, and so
+    is an entry below ``_EPS`` (2^-52) times its largest: the round-off of a
+    basic variable at a degenerate 0, which would fail a row of its own, such
+    as TDBC's lam3 = 0.  The vertex is feasible if it meets every row to
+    within ``_REUSE_TOL`` of that row's size, |B x_B - b| <= ``_REUSE_TOL``
+    (|B| x_B + |b|): the row test on the whole standardized matrix, as the
+    vertex is zero off the basis.  B is inverted here only, for ``certify``
+    and ``resume_lp`` alike.
+    """
     if held is None:
         return None
-    var, scale, s_j, s_k, s_sign, f_j, f_k, start, idx, cost, c_b, b, abs_b, dual_sign = held
+    var, scale, *_, start, idx, _, _, b, abs_b, _ = held
     A = start.copy()
     np.multiply(lp.matrix.take(var, axis=1), scale, out=A[:, :var.size])
     B = A.take(idx, axis=1)
@@ -326,14 +388,7 @@ def certify(lp: LinearProgram, basis: tuple[int, ...]) -> Certificate | None:
     xb = inv @ b
     xb = np.where(xb > _EPS * np.abs(xb).max(), xb, 0.0)
     feasible = bool((np.abs(B @ xb - b) <= _REUSE_TOL * (np.abs(B) @ xb + abs_b)).all())
-    y = c_b @ inv  # a row
-    reduced = cost - (y @ A[:, :cost.size])[0]
-    reduced[idx] = -_INF
-    u = np.zeros(start.shape[1])
-    u[idx] = xb[:, 0]
-    # each row's identity column is e_i, so y_i is its dual
-    return Certificate(_points(lp, u, s_j, s_k, s_sign, f_j, f_k), dual_sign * y[0], reduced,
-                       feasible)
+    return A, inv, xb, feasible
 
 
 def _no_optimum(lp: LinearProgram, status: str) -> LpSolution:

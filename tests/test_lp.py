@@ -371,6 +371,60 @@ def test_a_reused_basis_reads_the_cold_optimum():
     assert reused >= 80  # 105 of 159 optimal programs here
 
 
+def test_a_resumed_solve_reaches_the_cold_optimum(monkeypatch):
+    # the optimal basis of the same rows under another objective is a
+    # feasible start, used exactly where certify finds its vertex feasible:
+    # phase 2 from it ends at the cold optimum's value, with duals that price
+    # it, over mixed relations, variable signs and both senses; the
+    # program's own optimal basis resumes at the cold optimum's basis
+    solve, went_cold = lp_module._solve, []
+    monkeypatch.setattr(lp_module, "_solve",
+                        lambda program: went_cold.append(program) or solve(program))
+    rng = np.random.default_rng(24)
+    signs = ((0.0, math.inf), (-math.inf, 0.0), (-math.inf, math.inf))
+    resumed = 0
+    for i in range(300):
+        base = random_feasible_bounded_lp(rng)
+        bounds = () if i % 3 == 0 else tuple(signs[j] for j in rng.integers(0, 3, base.n_vars))
+        lp = dataclasses.replace(base, bounds=bounds, sense=("max", "min")[i % 2])
+        other = dataclasses.replace(lp, objective=rng.uniform(-5.0, 5.0, lp.n_vars))
+        cold, start = solve_or_error(lp), solve_or_error(other)
+        if any(isinstance(s, SolverError) or not s.is_optimal for s in (cold, start)):
+            continue
+        cert = lp_module.certify(lp, start.basis)
+        resumed += cert is not None and cert.feasible
+        went_cold.clear()
+        got = lp_module.resume_lp(lp, start.basis)
+        assert bool(went_cold) != (cert is not None and cert.feasible)
+        scale = 1.0 + np.abs(cold.x).max()
+        assert got.status == "optimal"
+        assert got.value == pytest.approx(cold.value, rel=1e-9, abs=1e-9 * scale)
+        assert got.duals @ lp.rhs == pytest.approx(got.value, rel=1e-9, abs=1e-9 * scale)
+        own = lp_module.resume_lp(lp, cold.basis)
+        assert own.basis == cold.basis and np.allclose(own.x, cold.x, rtol=0.0, atol=1e-9 * scale)
+    assert resumed >= 120  # 143 of 150 pairs here
+
+
+def test_an_unusable_basis_resumes_as_the_cold_solve(monkeypatch):
+    # a basis of the wrong size, one holding an artificial column, one whose
+    # B is singular and one whose vertex is infeasible: phase 2 cannot start
+    # from it, so the program is solved cold, bit for bit
+    lp = LinearProgram([1.0, 1.0], [[1.0, 2.0], [3.0, 1.0]], ("<=", "<="), [4.0, 6.0])
+    eq = LinearProgram([1.0, 0.0], [[1.0, 1.0], [1.0, 0.0]], ("=", "<="), [1.0, 2.0])
+    twin = LinearProgram([1.0, 1.0], [[1.0, 1.0], [1.0, 1.0]], ("<=", "<="), [1.0, 2.0])
+    assert lp_module._start(eq.bounds, eq.relations, eq.rhs.tobytes())[-1] == 3
+    assert lp_module.certify(twin, (0, 1)) is None
+    assert not lp_module.certify(lp, (0, 3)).feasible  # x1 = 4 leaves row 2's slack at -6
+    cold = []
+    solve = lp_module._solve
+    monkeypatch.setattr(lp_module, "_solve", lambda program: cold.append(program) or solve(program))
+    for program, basis in ((lp, (0,)), (eq, (0, 3)), (twin, (0, 1)), (lp, (0, 3))):
+        cold.clear()
+        got = lp_module.resume_lp(program, basis)
+        assert cold == [program]
+        assert_same_solution(got, solve(program))
+
+
 def test_a_list_basis_reads_as_its_tuple():
     # a basis read back from JSON is a list: it gives the tuple's solution,
     # bit for bit, whether the basis is reused or refused
